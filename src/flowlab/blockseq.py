@@ -29,8 +29,7 @@ def angle(S, U) -> float:
     orthonormalized bases; this equals the sine of the minimal principal
     angle, which is the value of the symmetrized infimum.
     """
-    value, degenerate = angle_with_flag(S, U)
-    return value
+    return angle_with_flag(S, U)[0]
 
 
 def angle_with_flag(S, U, rank_tol=1e-12):
@@ -245,10 +244,6 @@ def estimate_solve_norm(system, n_probes=32, seed=0):
             rows_s.append(rng.normal(size=system.bases_s[j].shape[1]))
             rows_u.append(rng.normal(size=system.bases_u[j].shape[1]))
         # normalize the row data as one sup-norm element of the block space
-        scale = max(
-            max(np.linalg.norm(system.bases_s[j] @ rows_s[j]
-                               + system.bases_u[j] @ np.zeros_like(rows_u[j]))
-                for j in range(system.n_blocks)), 1e-300)
         w = [system.unsplit(j, rows_s[j], rows_u[j]) for j in range(system.n_blocks)]
         scale = system.sup_norm(w)
         w = [v / scale for v in w]

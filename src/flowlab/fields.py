@@ -7,6 +7,7 @@ so the tangent data is always consistent with the state trajectory.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -83,8 +84,9 @@ class Box:
 class VectorFieldSpec:
     """A named C^1 vector field on a box, with an analytic Jacobian.
 
-    `func` and `jac` accept either a single point (d,) or a stack (n, d)
-    when `vectorized` is true.
+    `func` accepts a single point (d,), and also a stack (n, d) when
+    `vectorized` is true.  `jac` takes a single point (d,) and returns the
+    (d, d) Jacobian there.
     """
 
     name: str
@@ -179,9 +181,10 @@ def _rotation_field(params, domain):
     if domain is None:
         domain = Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
 
+    flip = np.array([-1.0, 1.0])
+
     def func(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return np.asarray(x, dtype=float)[..., ::-1] * flip
 
     def jac(x):
         return np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -197,18 +200,26 @@ def _lorenz_field(params, domain):
     if domain is None:
         domain = Box(np.array([-30.0, -40.0, -5.0]), np.array([30.0, 40.0, 60.0]))
 
+    # A point is unpacked to Python floats: same IEEE operations, no dispatch.
     def func(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x1, x2, x3 = x.tolist()
+            return np.array([sigma * (x2 - x1), x1 * (rho - x3) - x2,
+                             x1 * x2 - beta * x3])
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack([sigma * (x2 - x1), x1 * (rho - x3) - x2,
-                         x1 * x2 - beta * x3], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = sigma * (x2 - x1)
+        out[..., 1] = x1 * (rho - x3) - x2
+        out[..., 2] = x1 * x2 - beta * x3
+        return out
 
     def jac(x):
-        x = np.asarray(x, dtype=float)
+        x1, x2, x3 = np.asarray(x, dtype=float).tolist()
         return np.array([
             [-sigma, sigma, 0.0],
-            [rho - x[2], -1.0, -x[0]],
-            [x[1], x[0], -beta],
+            [rho - x3, -1.0, -x1],
+            [x2, x1, -beta],
         ])
 
     return VectorFieldSpec("lorenz", 3, (sigma, rho, beta), domain, func, jac,
@@ -228,10 +239,12 @@ def _saddle_suspension_field(params, domain):
     if domain is None:
         domain = Box(np.full(3, -10.0), np.full(3, 10.0))
 
+    rates = np.array([a, -b, 1.0])
+
     def func(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([a * x[..., 0], -b * x[..., 1],
-                         omega * np.ones_like(x[..., 2])], axis=-1)
+        out = np.asarray(x, dtype=float) * rates
+        out[..., 2] = omega
+        return out
 
     def jac(x):
         return np.diag([a, -b, 0.0])
@@ -298,12 +311,13 @@ def speed(field, x):
     return float(np.linalg.norm(field.func(np.asarray(x, dtype=float))))
 
 
-def _domain_event(field, offset=0):
-    lo, hi = field.domain.lo, field.domain.hi
+def _domain_event(field):
+    lo, hi = field.domain.lo.tolist(), field.domain.hi.tolist()
+    d = field.dimension
 
     def event(t, y):
-        x = y[offset:offset + field.dimension]
-        return float(min(np.min(x - lo), np.min(hi - x)))
+        x = y[:d].tolist()
+        return min(min(map(operator.sub, x, lo)), min(map(operator.sub, hi, x)))
 
     event.terminal = True
     return event
@@ -323,9 +337,7 @@ def _augmented_rhs(field):
     def rhs(t, y):
         x = y[:d]
         Phi = y[d:].reshape(d, d)
-        fx = np.asarray(field.func(x), dtype=float)
-        J = np.asarray(field.jac(x), dtype=float)
-        return np.concatenate([fx, (J @ Phi).ravel()])
+        return np.concatenate([field.func(x), (field.jac(x) @ Phi).ravel()])
 
     return rhs
 
@@ -408,10 +420,8 @@ def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
                     **ivp_options(tol), t_eval=tev)
     _check_solution(sol, "batched orbit integration")
     states = sol.y.T.reshape(-1, k, d)
-    for frame in (states[-1],):
-        for row in frame:
-            if not field.domain.contains(row, slack=1e-9):
-                raise EscapeError("a batched orbit left the domain")
+    if not field.domain.contains(states[-1], slack=1e-9):
+        raise EscapeError("a batched orbit left the domain")
     if t_eval is None:
         return states[-1]
     return states

@@ -42,11 +42,6 @@ def orthonormalize(M):
     return q * signs
 
 
-def project_off(v, e):
-    """Component of v orthogonal to the unit vector e."""
-    return v - np.dot(v, e) * e
-
-
 def mininorm(M):
     """Smallest singular value of a linear map."""
     return float(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)[-1])

@@ -6,9 +6,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from flowlab.errors import DomainError, EscapeError
-from flowlab.fields import (Box, custom_field, estimate_lipschitz, evaluate,
-                            flow, flow_points, make_field, orbit_to_csv,
+from flowlab.fields import (Box, _domain_event, _fd_jacobian, custom_field,
+                            estimate_lipschitz, evaluate, flow, flow_points,
+                            flow_states_batch, make_field, orbit_to_csv,
                             sample_orbit)
+
+BUILTIN_KINDS = [
+    ("linear", [-3.0, 0.5, 0.0, 0.2, -1.0, 0.0, 0.0, 0.7, 2.0]),
+    ("rotation", ()),
+    ("lorenz", (10.0, 28.0, 8.0 / 3.0)),
+    ("saddle_suspension", (1.3, 0.7, -2.0)),
+]
 
 
 def test_evaluate_linear(saddle2d):
@@ -183,3 +191,65 @@ def test_flow_points_matches_flow(a, b):
     for t, p in zip(ts, pts):
         q, _ = flow(field, x, float(t), 1e-10)
         assert np.allclose(p, q, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind,params", BUILTIN_KINDS)
+def test_builtin_func_point_matches_stack_bitwise(kind, params):
+    field = make_field(kind, params)
+    X = np.random.default_rng(4).uniform(-5.0, 5.0, size=(16, field.dimension))
+    X[0] = 0.0
+    X[1] = -0.0
+    stack = field.func(X)
+    assert stack.shape == X.shape
+    for row, expected in zip(X, stack):
+        value = field.func(row)
+        assert value.shape == expected.shape
+        if kind == "linear":
+            # x @ A.T: BLAS matrix-vector and matrix-matrix kernels may
+            # sum in a different order, so only the last bits may differ
+            assert np.allclose(value, expected, rtol=0.0, atol=1e-14)
+        else:
+            assert value.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind,params", BUILTIN_KINDS)
+def test_builtin_jac_matches_finite_differences(kind, params):
+    field = make_field(kind, params)
+    rng = np.random.default_rng(5)
+    for x in rng.uniform(-5.0, 5.0, size=(8, field.dimension)):
+        J = field.jac(x)
+        assert J.shape == (field.dimension, field.dimension)
+        assert np.max(np.abs(J - _fd_jacobian(field.func, x))) <= 1e-6
+
+
+@pytest.mark.parametrize("kind,params", BUILTIN_KINDS)
+def test_domain_event_matches_array_formula(kind, params):
+    field = make_field(kind, params)
+    lo, hi = field.domain.lo, field.domain.hi
+    inside = lo + 0.3 * (hi - lo)
+    on_face = inside.copy()
+    on_face[0] = hi[0]
+    outside = inside.copy()
+    outside[-1] = lo[-1] - 0.5
+    event = _domain_event(field)
+    for x in (inside, on_face, outside):
+        expected = float(min(np.min(x - lo), np.min(hi - x)))
+        # the augmented state carries the variational matrix after x
+        for y in (x, np.concatenate([x, np.eye(field.dimension).ravel()])):
+            value = event(0.0, y)
+            assert type(value) is float and value == expected
+
+
+def test_flow_states_batch_escape_slack():
+    # x(t) = e^t x(0); the box diameter 2 sqrt(2) gives a pad of 2.8e-9
+    field = make_field("linear", [1.0, 0.0, 0.0, -1.0],
+                       domain=Box([-1.0, -1.0], [1.0, 1.0]))
+    t = 1.0
+    for overshoot, escapes in ((1e-9, False), (1e-6, True)):
+        pts = np.array([[0.1, 0.5], [(1.0 + overshoot) / np.e, 0.2]])
+        if escapes:
+            with pytest.raises(EscapeError):
+                flow_states_batch(field, pts, t, tol=1e-12)
+        else:
+            out = flow_states_batch(field, pts, t, tol=1e-12)
+            assert out[1, 0] == pytest.approx(1.0 + overshoot, abs=1e-11)
