@@ -31,7 +31,7 @@ from .poincare import linear_poincare, section_radius, sectional_poincare
 from .reparam import (admissible_delta, drift_trials,
                       estimate_speed_ratio_constant, trials_to_csv)
 from .scenario import Scenario, load_scenario
-from .util import parallel_map, write_csv, write_json
+from .util import write_csv, write_json
 
 
 def _box_from(vals, d):
@@ -70,14 +70,11 @@ def _run_flowbox(sc, field, out):
                            seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, burn=burn,
                                 tol=sc.tol)
-    def one(p):
-        chart = make_chart(field, p, L)
-        return verify_box_bounds(chart, grid, tol=sc.tol)
-
     findings = 0
     per_base = []
     rows = []
-    for p, rep in zip(pts, parallel_map(one, pts, sc.threads)):
+    for p in pts:
+        rep = verify_box_bounds(make_chart(field, p, L), grid, tol=sc.tol)
         per_base.append(rep.to_json_dict())
         rows.append([*p, rep.max_dev_from_id, rep.min_mininorm, rep.max_norm,
                      rep.bounds_ok])
@@ -107,20 +104,18 @@ def _run_poincare(sc, field, out):
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, burn=burn,
                                 tol=sc.tol)
-    def one(p):
+    findings = 0
+    entries = []
+    rows = []
+    for p in pts:
         sx = float(np.linalg.norm(field.func(p)))
         sm = sectional_poincare(field, p, T, np.zeros(field.dimension), L,
                                 tol=sc.tol, fd_step=fd_rel * sx,
                                 max_radius=np.inf)
         psi = linear_poincare(field, p, T, tol=sc.tol)
         M = psi.in_frames(sm.source, sm.target)
-        return float(np.linalg.norm(sm.derivative - M, 2)
-                     / max(np.linalg.norm(M, 2), 1e-300))
-
-    findings = 0
-    entries = []
-    rows = []
-    for p, err in zip(pts, parallel_map(one, pts, sc.threads)):
+        err = float(np.linalg.norm(sm.derivative - M, 2)
+                    / max(np.linalg.norm(M, 2), 1e-300))
         ok = err <= id_tol
         findings += 0 if ok else 1
         entries.append({"base": p.tolist(), "rel_error": err, "pass": ok})
@@ -355,7 +350,7 @@ _HANDLERS = {
 }
 
 
-def run_scenario(path, out=None, seed=None, tol=None, threads=None) -> int:
+def run_scenario(path, out=None, seed=None, tol=None) -> int:
     """Execute a scenario file; returns the process exit status."""
     try:
         sc = load_scenario(path)
@@ -365,8 +360,6 @@ def run_scenario(path, out=None, seed=None, tol=None, threads=None) -> int:
             sc.seed = seed
         if tol is not None:
             sc.tol = tol
-        if threads is not None:
-            sc.threads = threads
         field = sc.build_field()
         out_dir = Path(sc.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -434,14 +427,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--tol", type=float, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
     p_replay = sub.add_parser("replay", help="re-verify witness files")
     p_replay.add_argument("witness", nargs="+")
     sub.add_parser("list-fields", help="print the builtin field registry")
     args = parser.parse_args(argv)
     if args.subcommand == "run":
         return run_scenario(args.scenario, out=args.out, seed=args.seed,
-                            tol=args.tol, threads=args.threads)
+                            tol=args.tol)
     if args.subcommand == "replay":
         return _cmd_replay(args.witness)
     return _cmd_list_fields()

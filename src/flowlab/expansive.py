@@ -126,7 +126,7 @@ def _orbit_displacement(field, chart, point, eps, arc_tol):
 
 @dataclass
 class PairEvaluation:
-    sup_by_theta: list              # (theta, sup) candidates, best first
+    sup_by_theta: list              # (theta, sup, ys) candidates, best first
     base_states: np.ndarray
     grid: np.ndarray
 
@@ -155,24 +155,23 @@ def _evaluate_pair(field, x, y, config, mode, thetas, cache=None):
         try:
             ys = flow_points(field, y, theta(grid), config.tol)
         except (EscapeError, StiffnessError):
-            out.append((theta, np.inf))
+            out.append((theta, np.inf, None))
             continue
-        dist = np.linalg.norm(xs - ys, axis=1)
-        sup = float(np.max(dist / speeds)) if rescale else float(np.max(dist))
-        out.append((theta, sup))
+        out.append((theta, _sup(xs, ys, speeds, rescale), ys))
     out.sort(key=lambda p: p[1])
     return PairEvaluation(sup_by_theta=out, base_states=xs, grid=grid)
 
 
-def _conclusion_failures(field, ev: PairEvaluation, theta, y, eps, L,
-                         arc_tol, tol, mode):
-    """Grid times where the orbit-arc conclusion fails for this theta."""
-    try:
-        ys = flow_points(field, y, theta(ev.grid), tol)
-    except (EscapeError, StiffnessError):
-        return [float(t) for t in ev.grid]
+def _sup(xs, ys, speeds, rescale):
+    """Grid sup of d(x_t, y_theta(t)), over |X(x_t)| when rescaled."""
+    dist = np.linalg.norm(xs - ys, axis=1)
+    return float(np.max(dist / speeds)) if rescale else float(np.max(dist))
+
+
+def _conclusion_failures(field, grid, xs, ys, eps, L, arc_tol):
+    """Grid times where y_theta(t) is off the orbit arc of x_t."""
     failures = []
-    for t, bx, yy in zip(ev.grid, ev.base_states, ys):
+    for t, bx, yy in zip(grid, xs, ys):
         try:
             chart = make_chart(field, bx, L)
         except SingularityError:
@@ -181,6 +180,15 @@ def _conclusion_failures(field, ev: PairEvaluation, theta, y, eps, L,
         if not _orbit_displacement(field, chart, yy, eps, arc_tol):
             failures.append(float(t))
     return failures
+
+
+def _violated(mode, grid, fails):
+    """The mode's rule for a violated conclusion, given the failing times."""
+    if mode == "komuro":
+        return len(fails) == len(grid)
+    if mode == "bowen_walters":
+        return float(grid[int(np.argmin(np.abs(grid)))]) in fails
+    return len(fails) > 0
 
 
 def _candidate_thetas(field, x, y, config, mode, cache=None):
@@ -279,20 +287,12 @@ def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
                 key = (float(eps), float(delta))
                 if verdicts[key] == "violation":
                     continue
-                for theta, sup in ev.sup_by_theta:
+                for theta, sup, ys in ev.sup_by_theta:
                     if sup > delta:
                         break  # candidates are sorted; none shadows
-                    fails = _conclusion_failures(field, ev, theta, y, eps, L,
-                                                 config.arc_tol, config.tol,
-                                                 mode)
-                    if mode == "komuro":
-                        violated = len(fails) == len(ev.grid)
-                    elif mode == "bowen_walters":
-                        t0_idx = int(np.argmin(np.abs(ev.grid)))
-                        violated = float(ev.grid[t0_idx]) in fails
-                    else:
-                        violated = len(fails) > 0
-                    if violated:
+                    fails = _conclusion_failures(field, ev.grid, ev.base_states,
+                                                 ys, eps, L, config.arc_tol)
+                    if _violated(mode, ev.grid, fails):
                         verdicts[key] = "violation"
                         witnesses.append(Witness(
                             mode=mode, epsilon=float(eps), delta=float(delta),
@@ -338,27 +338,11 @@ def replay_witness(source) -> ReplayResult:
     xs = flow_points(field, x, grid, d["tol"])
     ys = flow_points(field, y, theta(grid), d["tol"])
     speeds = np.array([speed(field, s) for s in xs])
-    dist = np.linalg.norm(xs - ys, axis=1)
-    sup = float(np.max(dist / speeds)) if d["mode"] == "rescaled" \
-        else float(np.max(dist))
-    fails = []
-    for t, bx, yy in zip(grid, xs, ys):
-        try:
-            chart = make_chart(field, bx, d["lipschitz"])
-        except SingularityError:
-            fails.append(float(t))
-            continue
-        if not _orbit_displacement(field, chart, yy, d["epsilon"],
-                                   d["arc_tol"]):
-            fails.append(float(t))
-    if d["mode"] == "komuro":
-        violated = len(fails) == grid.size
-    elif d["mode"] == "bowen_walters":
-        t0_idx = int(np.argmin(np.abs(grid)))
-        violated = float(grid[t0_idx]) in fails
-    else:
-        violated = len(fails) > 0
-    reproduced = bool(violated and sup <= d["delta"] * (1.0 + 1e-9))
+    sup = _sup(xs, ys, speeds, d["mode"] == "rescaled")
+    fails = _conclusion_failures(field, grid, xs, ys, d["epsilon"],
+                                 d["lipschitz"], d["arc_tol"])
+    reproduced = bool(_violated(d["mode"], grid, fails)
+                      and sup <= d["delta"] * (1.0 + 1e-9))
     return ReplayResult(reproduced=reproduced, measured_sup=sup,
                         failing_times=fails)
 

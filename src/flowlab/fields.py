@@ -3,6 +3,12 @@
 All dynamics live on an axis-aligned box in R^d with the Euclidean metric.
 The flow map and its derivative are integrated jointly as one augmented ODE
 so the tangent data is always consistent with the state trajectory.
+
+Every integration of this module goes through one kernel, `_solve` (DOP853
+at `ivp_options(tol)`), and every solve at signed times through `_solve_at`
+on top of it.  The only integrator calls outside this module are the two in
+`hyperbolic._pragmatical_value`, which needs a dense solution and reports
+escapes as `DomainError`.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, EscapeError, StiffnessError
 from .util import write_csv
-
-_METHOD = "DOP853"
 
 #: Floor applied to Lipschitz constants everywhere downstream, so the chart
 #: radius 1/(10 L) stays finite for near-constant fields.
@@ -155,7 +159,7 @@ def custom_field(name, dimension, func, domain, jac=None, params=()):
 
 
 def _linear_field(params, domain):
-    A = np.asarray(params, dtype=float)
+    A = np.array(params, dtype=float)
     if A.ndim == 1:
         d = int(round(np.sqrt(A.size)))
         if d * d != A.size:
@@ -164,12 +168,13 @@ def _linear_field(params, domain):
     d = A.shape[0]
     if domain is None:
         domain = Box(np.full(d, -100.0), np.full(d, 100.0))
+    A.flags.writeable = False  # jac returns A itself: built once, read-only
 
     def func(x):
         return np.asarray(x, dtype=float) @ A.T
 
     def jac(x):
-        return A.copy()
+        return A
 
     return VectorFieldSpec("linear", d, tuple(A.ravel()), domain, func, jac,
                            kind="linear", vectorized=True)
@@ -182,12 +187,14 @@ def _rotation_field(params, domain):
         domain = Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
 
     flip = np.array([-1.0, 1.0])
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    J.flags.writeable = False
 
     def func(x):
         return np.asarray(x, dtype=float)[..., ::-1] * flip
 
     def jac(x):
-        return np.array([[0.0, -1.0], [1.0, 0.0]])
+        return J
 
     return VectorFieldSpec("rotation", 2, (), domain, func, jac,
                            kind="rotation", vectorized=True)
@@ -240,6 +247,8 @@ def _saddle_suspension_field(params, domain):
         domain = Box(np.full(3, -10.0), np.full(3, 10.0))
 
     rates = np.array([a, -b, 1.0])
+    J = np.diag([a, -b, 0.0])
+    J.flags.writeable = False
 
     def func(x):
         out = np.asarray(x, dtype=float) * rates
@@ -247,7 +256,7 @@ def _saddle_suspension_field(params, domain):
         return out
 
     def jac(x):
-        return np.diag([a, -b, 0.0])
+        return J
 
     return VectorFieldSpec("saddle_suspension", 3, (a, b, omega), domain,
                            func, jac, kind="saddle_suspension", vectorized=True)
@@ -311,6 +320,13 @@ def speed(field, x):
     return float(np.linalg.norm(field.func(np.asarray(x, dtype=float))))
 
 
+def speeds(field, X):
+    """Speeds of a stack of points (n, d), one norm per row."""
+    if field.vectorized:
+        return np.linalg.norm(np.asarray(field.func(X), dtype=float), axis=-1)
+    return np.array([speed(field, s) for s in X])
+
+
 def _domain_event(field):
     lo, hi = field.domain.lo.tolist(), field.domain.hi.tolist()
     d = field.dimension
@@ -323,14 +339,6 @@ def _domain_event(field):
     return event
 
 
-def _check_solution(sol, what):
-    if sol.status == 1:
-        texit = float(sol.t_events[0][0]) if sol.t_events and len(sol.t_events[0]) else None
-        raise EscapeError(f"orbit left the domain during {what}", exit_time=texit)
-    if sol.status != 0:
-        raise StiffnessError(f"integrator failed during {what}: {sol.message}")
-
-
 def _augmented_rhs(field):
     d = field.dimension
 
@@ -340,6 +348,42 @@ def _augmented_rhs(field):
         return np.concatenate([field.func(x), (field.jac(x) @ Phi).ravel()])
 
     return rhs
+
+
+def _solve(rhs, y0, t, tol, what, t_eval=None, event=None):
+    """The integration kernel: one DOP853 solve over [0, t].
+
+    A terminal event raises EscapeError with its time, any other solver
+    failure StiffnessError.
+    """
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", **ivp_options(tol),
+                    t_eval=t_eval, events=event)
+    if sol.status == 1:
+        texit = float(sol.t_events[0][0]) if sol.t_events and len(sol.t_events[0]) else None
+        raise EscapeError(f"orbit left the domain during {what}", exit_time=texit)
+    if sol.status != 0:
+        raise StiffnessError(f"integrator failed during {what}: {sol.message}")
+    return sol
+
+
+def _solve_at(field, rhs, y0, times, tol, what):
+    """Solutions (n, len(y0)) at signed times, in input order.
+
+    One solve per time sign over the distinct times, with the domain event
+    on; y0 is the value at t = 0.
+    """
+    ts, inv = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    out = np.empty((ts.size, y0.size))
+    for back in (True, False):
+        mask = ts < 0 if back else ts > 0
+        if not np.any(mask):
+            continue
+        tev = ts[mask][::-1] if back else ts[mask]
+        vals = _solve(rhs, y0, float(tev[-1]), tol, what, t_eval=tev,
+                      event=_domain_event(field)).y.T
+        out[mask] = vals[::-1] if back else vals
+    out[ts == 0] = y0
+    return out[inv]
 
 
 def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
@@ -356,10 +400,8 @@ def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
     if t == 0.0:
         return x.copy(), np.eye(d)
     y0 = np.concatenate([x, np.eye(d).ravel()])
-    sol = solve_ivp(_augmented_rhs(field), (0.0, t), y0, method=_METHOD,
-                    **ivp_options(tol), events=_domain_event(field),
-                    dense_output=False)
-    _check_solution(sol, f"flow of {field.name} to t={t}")
+    sol = _solve(_augmented_rhs(field), y0, t, tol,
+                 f"flow of {field.name} to t={t}", event=_domain_event(field))
     y = sol.y[:, -1]
     return y[:d], y[d:].reshape(d, d)
 
@@ -367,32 +409,12 @@ def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
 def flow_points(field, x, times, tol=1e-9):
     """States of the orbit of x at a collection of (possibly signed) times.
 
-    One integration per sign; results are returned in the input order.
+    One integration per sign; results are returned in the input order, and
+    a repeated time repeats its state.
     """
-    times = np.asarray(times, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = field.dimension
-    out = np.empty((times.size, d))
-    order = np.argsort(times, kind="stable")
-    ts = times[order]
-    for sign in (-1.0, 1.0):
-        mask = ts < 0 if sign < 0 else ts > 0
-        if not np.any(mask):
-            continue
-        tev = ts[mask]
-        if sign < 0:
-            tev = tev[::-1]
-        sol = solve_ivp(lambda t, y: field.func(y), (0.0, float(tev[-1])), x,
-                        method=_METHOD, **ivp_options(tol),
-                        t_eval=tev, events=_domain_event(field))
-        _check_solution(sol, f"orbit sampling of {field.name}")
-        vals = sol.y.T
-        if sign < 0:
-            vals = vals[::-1]
-        out[order[mask]] = vals
-    if np.any(ts == 0):
-        out[order[ts == 0]] = x
-    return out
+    return _solve_at(field, lambda t, y: field.func(y),
+                     np.asarray(x, dtype=float), times, tol,
+                     f"orbit sampling of {field.name}")
 
 
 def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
@@ -413,12 +435,9 @@ def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
             return np.stack([np.asarray(field.func(row), dtype=float)
                              for row in Y]).ravel()
 
-    tev = None
-    if t_eval is not None:
-        tev = np.asarray(t_eval, dtype=float)
-    sol = solve_ivp(rhs, (0.0, float(t)), points.ravel(), method=_METHOD,
-                    **ivp_options(tol), t_eval=tev)
-    _check_solution(sol, "batched orbit integration")
+    tev = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    sol = _solve(rhs, points.ravel(), float(t), tol, "batched orbit integration",
+                 t_eval=tev)
     states = sol.y.T.reshape(-1, k, d)
     if not field.domain.contains(states[-1], slack=1e-9):
         raise EscapeError("a batched orbit left the domain")
@@ -498,40 +517,16 @@ def sample_orbit(field, x, times, tol=1e-9, variational=False) -> OrbitSegment:
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
     d = field.dimension
+    var = None
     if variational:
-        states = np.empty((times.size, d))
-        mats = np.empty((times.size, d, d))
-        order = np.argsort(times, kind="stable")
-        ts = times[order]
-        for sign in (-1.0, 1.0):
-            mask = ts < 0 if sign < 0 else ts > 0
-            if not np.any(mask):
-                continue
-            tev = ts[mask]
-            if sign < 0:
-                tev = tev[::-1]
-            y0 = np.concatenate([x, np.eye(d).ravel()])
-            sol = solve_ivp(_augmented_rhs(field), (0.0, float(tev[-1])), y0,
-                            method=_METHOD, **ivp_options(tol),
-                            t_eval=tev, events=_domain_event(field))
-            _check_solution(sol, "variational orbit sampling")
-            vals = sol.y.T
-            if sign < 0:
-                vals = vals[::-1]
-            states[order[mask]] = vals[:, :d]
-            mats[order[mask]] = vals[:, d:].reshape(-1, d, d)
-        zero = ts == 0
-        if np.any(zero):
-            states[order[zero]] = x
-            mats[order[zero]] = np.eye(d)
-        var = mats
+        y = _solve_at(field, _augmented_rhs(field),
+                      np.concatenate([x, np.eye(d).ravel()]), times, tol,
+                      "variational orbit sampling")
+        states, var = y[:, :d].copy(), y[:, d:].reshape(-1, d, d).copy()
     else:
         states = flow_points(field, x, times, tol)
-        var = None
-    speeds = np.linalg.norm(np.asarray(field.func(states), dtype=float), axis=-1) \
-        if field.vectorized else np.array([speed(field, s) for s in states])
-    return OrbitSegment(base=x, times=times, states=states, speeds=speeds,
-                        variational=var)
+    return OrbitSegment(base=x, times=times, states=states,
+                        speeds=speeds(field, states), variational=var)
 
 
 def orbit_to_csv(segment: OrbitSegment, path):

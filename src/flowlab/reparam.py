@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CrossingError, DomainError, EscapeError, HypothesisError,
                      NoPathError, SingularityError)
 from .fields import (Box, effective_lipschitz, estimate_lipschitz,
-                     flow_points, speed)
+                     flow_points, speed, speeds)
 from .flowbox import chart_radius, flowbox_invert, make_chart
 from .poincare import section_radius, sectional_poincare
 from .util import write_csv
@@ -92,14 +92,13 @@ def _pair_profile(field, x, y, theta, horizon, n_samples, tol, rescale=True):
     grid = np.linspace(lo, hi, n_samples)
     xs = flow_points(field, x, grid, tol)
     ys = flow_points(field, y, theta(grid), tol)
-    speeds = np.linalg.norm(np.asarray(field.func(xs), dtype=float), axis=-1) \
-        if field.vectorized else np.array([speed(field, s) for s in xs])
+    sx = speeds(field, xs)
     floor = field.singular_speed()
-    if rescale and np.any(speeds <= floor):
-        t_bad = float(grid[int(np.argmin(speeds))])
+    if rescale and np.any(sx <= floor):
+        t_bad = float(grid[int(np.argmin(sx))])
         raise SingularityError(f"base orbit is singular at t={t_bad}", time=t_bad)
     dist = np.linalg.norm(xs - ys, axis=1)
-    return grid, xs, ys, speeds, (dist / speeds if rescale else dist)
+    return grid, xs, ys, sx, (dist / sx if rescale else dist)
 
 
 def rescaled_sup_distance(field, x, y, theta, horizon, n_samples, tol=1e-9):
@@ -232,16 +231,13 @@ def fit_reparametrization(field, x, y, horizon=None, lattice=None, *,
     m, n = theta_mat.shape
 
     xs = flow_points(field, x, t_nodes, tol) if x_states is None else x_states
-    uniq, inv = np.unique(theta_mat.ravel(), return_inverse=True)
-    ys_unique = flow_points(field, y, uniq, tol)
-    ys = ys_unique[inv].reshape(m, n, -1)
-    speeds = np.linalg.norm(np.asarray(field.func(xs), dtype=float), axis=-1) \
-        if field.vectorized else np.array([speed(field, s) for s in xs])
+    ys = flow_points(field, y, theta_mat.ravel(), tol).reshape(m, n, -1)
+    sx = speeds(field, xs)
     cost = np.linalg.norm(xs[:, None, :] - ys, axis=2)
     if rescale:
         floor = field.singular_speed()
-        safe = speeds > floor
-        cost = np.where(safe[:, None], cost / np.maximum(speeds, floor)[:, None], np.inf)
+        safe = sx > floor
+        cost = np.where(safe[:, None], cost / np.maximum(sx, floor)[:, None], np.inf)
 
     value, path = lattice_bottleneck(cost)
     tv = np.array([t_nodes[i] for i, _ in path])

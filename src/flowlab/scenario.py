@@ -47,7 +47,6 @@ class Scenario:
     out: str = "out"
     seed: int = 0
     tol: float = 1e-9
-    threads: int = 1
     source: str = "<memory>"
 
     def build_field(self):
@@ -127,7 +126,7 @@ def parse_scenario(text, source="<memory>") -> Scenario:
                         line=lineno)
                 command = rest.strip()
                 section = "command"
-            elif key in ("out", "seed", "tol", "threads"):
+            elif key in ("out", "seed", "tol"):
                 toks = _tokenize(rest)
                 if len(toks) != 1:
                     raise ScenarioError(f"{key} takes one value", line=lineno)
@@ -164,8 +163,6 @@ def parse_scenario(text, source="<memory>") -> Scenario:
         sc.seed = int(top["seed"])
     if "tol" in top:
         sc.tol = float(top["tol"])
-    if "threads" in top:
-        sc.threads = int(top["threads"])
     return sc
 
 

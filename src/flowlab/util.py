@@ -1,10 +1,9 @@
-"""Small shared helpers: frames, deterministic serialization, parallel maps."""
+"""Small shared helpers: frames and deterministic serialization."""
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +48,6 @@ def mininorm(M):
 
 def opnorm(M):
     return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
-
-
-def parallel_map(fn, items, threads=1):
-    """Order-preserving map; thread pool when threads > 1 (results identical)."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _jsonable(obj):

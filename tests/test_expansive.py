@@ -70,12 +70,12 @@ def test_shift_pairs_never_violate(rotation):
         for mode in ("rescaled", "komuro", "bowen_walters"):
             thetas = E._candidate_thetas(rotation, x, y, cfg, mode)
             ev = E._evaluate_pair(rotation, x, y, cfg, mode, thetas)
-            for theta, sup in ev.sup_by_theta:
+            for theta, sup, ys in ev.sup_by_theta:
                 if sup > 0.1:
                     continue
-                fails = E._conclusion_failures(rotation, ev, theta, y, eps,
-                                               1.05, cfg.arc_tol, cfg.tol,
-                                               mode)
+                fails = E._conclusion_failures(rotation, ev.grid,
+                                               ev.base_states, ys, eps, 1.05,
+                                               cfg.arc_tol)
                 if mode == "komuro":
                     assert len(fails) < ev.grid.size
                 elif mode == "bowen_walters":

@@ -253,3 +253,59 @@ def test_flow_states_batch_escape_slack():
         else:
             out = flow_states_batch(field, pts, t, tol=1e-12)
             assert out[1, 0] == pytest.approx(1.0 + overshoot, abs=1e-11)
+
+
+ORACLE_CASES = [
+    # kind, params, domain (None = default), start point
+    ("linear", BUILTIN_KINDS[0][1], None, [0.3, -0.2, 0.5]),
+    ("rotation", (), Box([-0.5, -1.0], [1.0, 1.0]), [0.6, 0.3]),
+    ("saddle_suspension", (1.3, 0.7, -2.0), None, [0.3, -0.2, 0.5]),
+]
+
+
+def _exact_flow(field, x, t):
+    """Closed-form state and variational matrix at time t."""
+    if field.kind == "saddle_suspension":
+        a, b, omega = field.params
+        M = np.diag([np.exp(a * t), np.exp(-b * t), 1.0])
+        return M @ x + [0.0, 0.0, omega * t], M
+    M = expm(field.jac(x) * t)  # constant Jacobian A: phi_t = exp(A t)
+    return M @ x, M
+
+
+@pytest.mark.parametrize("kind,params,domain,x0", ORACLE_CASES)
+def test_integration_modes_match_closed_form(kind, params, domain, x0):
+    field = make_field(kind, params, domain)
+    x = np.array(x0)
+    tol = 1e-11
+
+    def close(value, exact):
+        return np.max(np.abs(value - exact)) <= 1e-8 * max(1.0, np.max(np.abs(exact)))
+
+    # unsorted times of both signs, with 0 and a repeated time
+    times = [0.7, -0.4, 0.0, 0.7, -1.0, 0.25]
+    pts = flow_points(field, x, times, tol)
+    assert pts[2].tobytes() == x.tobytes()
+    assert pts[0].tobytes() == pts[3].tobytes()
+    for t, p in zip(times, pts):
+        assert close(p, _exact_flow(field, x, t)[0])
+
+    seg = sample_orbit(field, x, np.linspace(-1.0, 1.0, 9), tol, variational=True)
+    for t, state, Phi in zip(seg.times, seg.states, seg.variational):
+        exact, exact_Phi = _exact_flow(field, x, t)
+        assert close(state, exact) and close(Phi, exact_Phi)
+
+    state, Phi = flow(field, x, -0.6, tol)
+    exact, exact_Phi = _exact_flow(field, x, -0.6)
+    assert close(state, exact) and close(Phi, exact_Phi)
+
+    # each sign branch reports its exit time: the exact orbit is on the
+    # boundary of the box there
+    lo, hi = field.domain.lo, field.domain.hi
+    for T in (20.0, -20.0):
+        with pytest.raises(EscapeError) as exc:
+            flow_points(field, x, [T], tol)
+        t_exit = exc.value.exit_time
+        assert t_exit is not None and 0.0 < t_exit / T < 1.0
+        exact, _ = _exact_flow(field, x, t_exit)
+        assert abs(min(np.min(exact - lo), np.min(hi - exact))) <= 1e-6

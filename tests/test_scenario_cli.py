@@ -176,12 +176,3 @@ tol 1e-10
     assert run_scenario(str(p), out=str(tmp_path / "out")) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["violations"] == 0
-
-
-def test_threads_option_deterministic(tmp_path):
-    p = tmp_path / "s.scn"
-    p.write_text(SADDLE_FLOWBOX)
-    run_scenario(str(p), out=str(tmp_path / "a"), threads=1)
-    run_scenario(str(p), out=str(tmp_path / "b"), threads=4)
-    assert (tmp_path / "a" / "report.json").read_bytes() == \
-        (tmp_path / "b" / "report.json").read_bytes()
