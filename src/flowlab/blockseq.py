@@ -44,33 +44,6 @@ def angle_with_flag(S, U, rank_tol=1e-12):
     return float(np.sqrt(max(0.0, 1.0 - top * top))), False
 
 
-def angle_brute(S, U, n_grid=2000, seed=0):
-    """Grid minimization of |u - v| over the unit spheres (oracle)."""
-    S = orthonormalize(np.atleast_2d(np.asarray(S, dtype=float)))
-    U = orthonormalize(np.atleast_2d(np.asarray(U, dtype=float)))
-    rng = np.random.default_rng(seed)
-
-    def side(A, B):
-        # min over unit u in span(A) of distance to span(B)
-        k = A.shape[1]
-        if k == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        elif k == 2:
-            ts = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-            dirs = np.stack([np.cos(ts), np.sin(ts)], axis=1)
-        else:
-            dirs = rng.normal(size=(n_grid, k))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        best = np.inf
-        for a in dirs:
-            u = A @ a
-            resid = u - B @ (B.T @ u)
-            best = min(best, float(np.linalg.norm(resid)))
-        return best
-
-    return min(side(S, U), side(U, S))
-
-
 @dataclass
 class BlockSequenceSystem:
     """Finite window of split blocks with hyperbolic linear parts.
@@ -360,8 +333,11 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     epsilon, the projected flow outside 3*epsilon, and a piecewise-linear
     blend in between.  Lipschitz constants are estimated per block by pair
     sampling plus the derivative-bound route; the larger estimate is kept.
+    P_j is evaluated by value only: the target chart at the image of node j
+    is built once per block, and each evaluation is one landing on it.
     """
-    from .poincare import linear_poincare, section_radius, sectional_poincare
+    from .poincare import (linear_poincare, section_radius, sectional_value,
+                           target_chart)
 
     orbit = splitting.orbit
     dt = orbit.step()
@@ -418,6 +394,7 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
         A_j, D_j = A[j], D[j]
         bj, bj1 = b[j], b[j + 1]
         e_j = np.asarray(field.func(x_j), dtype=float) / speed_j
+        chart1 = target_chart(field, x_j, T, L, tol)
 
         def block_linear(v):
             coords = Mj_pinv @ v
@@ -431,9 +408,8 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
             lin = psi_j @ w
             if beta == 0.0:
                 return lin
-            sm = sectional_poincare(field, x_j, T, w, L, tol=tol,
-                                    max_radius=np.inf)
-            return beta * sm.value + (1.0 - beta) * lin
+            value, _ = sectional_value(field, x_j, T, w, chart1, tol)
+            return beta * value + (1.0 - beta) * lin
 
         # exact-zero anchor: subtract the (numerically tiny) image of 0
         offset = bj1 * extended_section(np.zeros(d))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import RadiusError, SingularityError
 from .fields import effective_lipschitz, flow, speed
-from .flowbox import chart_radius, flowbox_invert, make_chart
+from .flowbox import FlowboxChart, chart_radius, flowbox_invert, make_chart
 from .util import orthonormal_complement, orthonormalize, unit
 
 
@@ -181,6 +181,48 @@ class SectionalMap:
                          matrix=self.derivative)
 
 
+def target_chart(field, x, T, L, tol=1e-9) -> FlowboxChart:
+    """Flowbox chart at the time-T image of x, where the sectional map lands.
+
+    It depends only on (x, T, L), so a caller that evaluates the sectional
+    map from one base point many times builds it once and passes it to
+    every `sectional_value` call.
+    """
+    x1, _ = flow(field, np.asarray(x, dtype=float), T, tol)
+    return make_chart(field, x1, L)
+
+
+def _check_normal(field, x, w):
+    """Raise unless x is a regular point and w a normal vector at x."""
+    if speed(field, x) <= field.singular_speed():
+        raise SingularityError("sectional map requires a regular base point")
+    e = unit(np.asarray(field.func(x), dtype=float))
+    nw = np.linalg.norm(w)
+    if nw > 0 and abs(np.dot(w, e)) > 1e-9 * nw:
+        raise RadiusError("v is not a normal vector at x")
+
+
+def _land(field, x, T, w, chart1, tol):
+    """Chart coordinates (v, s) on chart1 of the time-T image of x + w."""
+    state, _ = flow(field, x + w, T, tol)
+    return flowbox_invert(chart1, state, tol=tol)
+
+
+def sectional_value(field, x, T, w, chart1, tol=1e-9):
+    """Value of the sectional map at the normal vector w: one landing.
+
+    `chart1` is `target_chart(field, x, T, L, tol)`.  Returns (v, s), the
+    ambient normal vector at the image point and the chart time of the
+    landing, equal to `sectional_poincare(...)`'s `value` and `time_offset`.
+    Raises SingularityError at a singular x and RadiusError when w is not
+    normal at x; |w| is not bounded (as with `max_radius=np.inf`).
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    _check_normal(field, x, w)
+    return _land(field, x, T, w, chart1, tol)
+
+
 def sectional_poincare(field, x, T, v, L, tol=1e-9, fd_step=None,
                        max_radius=None) -> SectionalMap:
     """Holonomy from the normal section at x to the one at the time-T image.
@@ -189,7 +231,9 @@ def sectional_poincare(field, x, T, v, L, tol=1e-9, fd_step=None,
     radius (`section_radius(T, L) * |X(x)|` by default; pass `max_radius` to
     work beyond the guaranteed radius).  The derivative is computed by
     central differences over the chart frame with step `fd_step`
-    (default 1e-4 * |X(x)|).
+    (default 1e-4 * |X(x)|).  The value and the 2(d-1) difference landings
+    share one target chart; callers that need only the value use
+    `target_chart` once per base point and `sectional_value` per vector.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -200,27 +244,21 @@ def sectional_poincare(field, x, T, v, L, tol=1e-9, fd_step=None,
     if np.linalg.norm(v) > radius * (1.0 + 1e-9):
         raise RadiusError(
             f"|v|={np.linalg.norm(v):.3e} exceeds the section radius {radius:.3e}")
+    _check_normal(field, x, v)
+
+    chart1 = target_chart(field, x, T, L, tol)
+    value, s0 = _land(field, x, T, v, chart1, tol)
+
     src = frame_at(field, x)
-    if np.linalg.norm(v) > 0 and abs(np.dot(v, src.direction)) > 1e-9 * np.linalg.norm(v):
-        raise RadiusError("v is not a normal vector at x")
-
-    x1, _ = flow(field, x, T, tol)
-    chart1 = make_chart(field, x1, L)
-    tgt = NormalFrame(point=x1, direction=chart1.flow_dir, basis=chart1.frame)
-
-    def landing(w):
-        state, _ = flow(field, x + w, T, tol)
-        return flowbox_invert(chart1, state, tol=tol)
-
-    value, s0 = landing(v)
-
+    tgt = NormalFrame(point=chart1.base, direction=chart1.flow_dir,
+                      basis=chart1.frame)
     h = fd_step if fd_step is not None else 1e-4 * sx
     d = field.dimension
     D = np.empty((d - 1, d - 1))
     for k in range(d - 1):
         step = h * src.basis[:, k]
-        wp, _ = landing(v + step)
-        wm, _ = landing(v - step)
+        wp, _ = _land(field, x, T, v + step, chart1, tol)
+        wm, _ = _land(field, x, T, v - step, chart1, tol)
         D[:, k] = chart1.frame.T @ (wp - wm) / (2.0 * h)
     return SectionalMap(value=value, derivative=D, source=src, target=tgt,
                         time_offset=s0)

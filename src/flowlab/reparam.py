@@ -19,7 +19,7 @@ from .errors import (CrossingError, DomainError, EscapeError, HypothesisError,
 from .fields import (Box, effective_lipschitz, estimate_lipschitz,
                      flow_points, speed, speeds)
 from .flowbox import chart_radius, flowbox_invert, make_chart
-from .poincare import section_radius, sectional_poincare
+from .poincare import section_radius, sectional_value, target_chart
 from .util import write_csv
 
 
@@ -117,8 +117,6 @@ def measure_shadowing(field, x, y, theta, horizon, n_samples, tol=1e-9) -> Shado
 # ---------------------------------------------------------------------------
 # bottleneck lattice fitting
 
-_STEPS = ((1, 0), (0, 1), (1, 1))
-
 
 def lattice_bottleneck(cost):
     """DP over monotone staircase paths; returns (objective, path).
@@ -155,35 +153,6 @@ def lattice_bottleneck(cost):
         path.append((i, j))
     path.reverse()
     return float(val[m - 1, j_end]), path
-
-
-def brute_force_bottleneck(cost):
-    """Exhaustive enumeration of monotone staircase paths (oracle).
-
-    Same path convention as `lattice_bottleneck`: every time row covered,
-    free theta columns at both ends.
-    """
-    cost = np.asarray(cost, dtype=float)
-    m, n = cost.shape
-    best = [np.inf]
-
-    def walk(i, j, cur):
-        cur = max(cur, cost[i, j])
-        if cur >= best[0]:
-            return
-        if i == m - 1:
-            best[0] = cur
-            # moving right inside the last row can only add cost; stop here
-            return
-        for di, dj in _STEPS:
-            if i + di < m and j + dj < n:
-                walk(i + di, j + dj, cur)
-
-    for j0 in range(n):
-        walk(0, j0, -np.inf)
-    if not np.isfinite(best[0]):
-        raise NoPathError("all monotone lattice paths are blocked")
-    return float(best[0])
 
 
 def _monotone_knots(t_vals, theta_vals):
@@ -597,10 +566,11 @@ def crossing_sequence(field, x, y, theta, T, k_range, L, delta=None,
         if ks[idx + 1] != ks[idx] + 1:
             continue
         it, it_next = items[idx], items[idx + 1]
-        sm = sectional_poincare(field, it.node, T, it.u, L, tol=tol,
-                                max_radius=np.inf)
+        value, _ = sectional_value(field, it.node, T, it.u,
+                                   target_chart(field, it.node, T, L, tol),
+                                   tol)
         s_next = speed(field, it_next.node)
-        defect = np.linalg.norm(sm.value - it_next.u) / s_next
+        defect = np.linalg.norm(value - it_next.u) / s_next
         max_defect = max(max_defect, float(defect))
         if defect > section_tol:
             ok_sections = False

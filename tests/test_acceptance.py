@@ -27,9 +27,10 @@ from flowlab.hyperbolic import (CocycleSpec, TangentSplitting,
                                 induce_from_tangent_splitting,
                                 pragmatical_cocycle, trivial_cocycle)
 from flowlab.poincare import linear_poincare, psi_ambient, sectional_poincare
-from flowlab.reparam import (brute_force_bottleneck, drift_trials,
-                             lattice_bottleneck, orbit_time_control_trials)
+from flowlab.reparam import (drift_trials, lattice_bottleneck,
+                             orbit_time_control_trials)
 from flowlab.util import mininorm
+from oracles import brute_force_bottleneck
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 

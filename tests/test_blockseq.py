@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowlab.blockseq import (BlockSequenceSystem, angle, angle_brute,
-                              angle_with_flag, apply_hyperbolic_operator,
+from flowlab.blockseq import (BlockSequenceSystem, angle, angle_with_flag,
+                              apply_hyperbolic_operator,
                               assemble_block_system, bump, contraction_bound,
                               estimate_solve_norm, make_random_system,
                               solve_fixed_point, solve_hyperbolic_operator)
 from flowlab.errors import DivergenceError, DomainError, NoCertificateError
 from flowlab.fields import Box, make_field, sample_orbit
 from flowlab.hyperbolic import NormalSplitting, rebalance_sequence
+from oracles import angle_brute
 
 
 # -------------------------------------------------------------------- angle
@@ -223,6 +224,69 @@ def test_assembly_fixed_point_returns_zero(diag_assembly):
     fp = solve_fixed_point(res.system, init, tol=1e-12)
     assert fp.converged
     assert fp.final_norm <= 1e-12
+
+
+def test_assembly_never_differentiates_the_sectional_map(diag_assembly,
+                                                        monkeypatch):
+    # phi_j needs only the value of P_j; the derivative path must stay out
+    g, spl, rb, _ = diag_assembly
+
+    def no_derivative(*args, **kwargs):
+        raise AssertionError("assembly called sectional_poincare")
+
+    monkeypatch.setattr("flowlab.poincare.sectional_poincare", no_derivative)
+    res = assemble_block_system(g, spl, rb, 1.0, epsilon=1e-3, L=1.05,
+                                tol=1e-11, lip_samples=8,
+                                enforce_radius=False)
+    init = [1e-4 * s * np.array([0.7, -0.6, 0.0]) for s in spl.orbit.speeds]
+    fp = solve_fixed_point(res.system, init, tol=1e-12)
+    assert fp.converged and fp.final_norm <= 1e-12
+
+
+def _phi_from_sectional_poincare(g, spl, rb, system, j, T, epsilon, L, tol):
+    """phi_j built on `sectional_poincare(...).value`: the reference that
+    the assembled value-only phi_j must match bit for bit."""
+    from flowlab.poincare import linear_poincare, sectional_poincare
+    x_j, speed_j = spl.orbit.states[j], spl.orbit.speeds[j]
+    m = linear_poincare(g, x_j, T, tol)
+    psi = m.target.basis @ m.matrix @ m.source.basis.T
+    e_j = np.asarray(g.func(x_j), dtype=float) / speed_j
+    Bs, Bu = system.bases_s[j], system.bases_u[j]
+    Mj_pinv = np.linalg.pinv(np.column_stack([Bs, Bu]))
+    b = np.asarray(rb.b, dtype=float)
+
+    def extended_section(w):
+        w = w - np.dot(w, e_j) * e_j
+        beta = bump(np.linalg.norm(w) / (3.0 * epsilon * speed_j))
+        lin = psi @ w
+        if beta == 0.0:
+            return lin
+        sm = sectional_poincare(g, x_j, T, w, L, tol=tol, max_radius=np.inf)
+        return beta * sm.value + (1.0 - beta) * lin
+
+    def block_linear(v):
+        coords = Mj_pinv @ v
+        s_dim = Bs.shape[1]
+        return (system.bases_s[j + 1] @ (system.A[j] @ coords[:s_dim])
+                + system.bases_u[j + 1] @ (system.D[j] @ coords[s_dim:]))
+
+    offset = b[j + 1] * extended_section(np.zeros(g.dimension))
+    return lambda v: (b[j + 1] * extended_section(v / b[j])
+                      - block_linear(v) - offset)
+
+
+def test_assembly_phi_is_bitwise_the_sectional_poincare_formula(
+        diag_assembly):
+    g, spl, rb, res = diag_assembly
+    rng = np.random.default_rng(4)
+    for j in (0, 3):
+        old = _phi_from_sectional_poincare(g, spl, rb, res.system, j, 1.0,
+                                           1e-3, 1.05, 1e-11)
+        r = 3e-3 * spl.orbit.speeds[j] * rb.b[j]   # outer blend radius
+        for frac in (0.0, 0.2, 0.5, 0.6):
+            c = rng.normal(size=2)
+            v = frac * r * np.array([c[0], c[1], 0.0]) / np.linalg.norm(c)
+            assert res.system.phis[j](v).tobytes() == old(v).tobytes()
 
 
 def test_assembly_radius_precondition(diag_assembly):

@@ -5,7 +5,8 @@ from flowlab.errors import RadiusError, SingularityError
 from flowlab.fields import estimate_lipschitz, make_field, speed, Box
 from flowlab.poincare import (extended_linear_poincare, frame_at,
                               linear_poincare, section_radius,
-                              sectional_poincare)
+                              sectional_poincare, sectional_value,
+                              target_chart)
 
 
 def test_linear_poincare_saddle_norm(saddle2d):
@@ -96,6 +97,36 @@ def test_sectional_rejects_non_normal(saddle2d):
     with pytest.raises(RadiusError):
         sectional_poincare(saddle2d, [1.0, 0.0], 1.0,
                            np.array([1e-3, 0.0]), L=1.05)
+
+
+def test_sectional_value_is_bitwise_sectional_poincare(
+        saddle2d, lorenz, lorenz_attractor_point):
+    # one landing on a chart built once gives exactly the value and the
+    # time offset of the full map, on a closed form and on Lorenz
+    x = lorenz_attractor_point
+    sx = speed(lorenz, x)
+    n = frame_at(lorenz, x).basis
+    cases = [(saddle2d, np.array([1.0, 0.0]), 1.0, 1.05, 1e-12,
+              [np.array([0.0, 0.003]), np.array([0.0, -0.01]), np.zeros(2)]),
+             (lorenz, x, 0.5, 2.0, 1e-9,
+              [n @ [1e-3, 0.0] * sx, n @ [-2e-3, 5e-3] * sx, np.zeros(3)])]
+    for field, p, T, L, tol, vs in cases:
+        chart1 = target_chart(field, p, T, L, tol)
+        for v in vs:
+            sm = sectional_poincare(field, p, T, v, L, tol=tol,
+                                    max_radius=np.inf)
+            value, s = sectional_value(field, p, T, v, chart1, tol)
+            assert value.tobytes() == sm.value.tobytes()
+            assert s == sm.time_offset
+
+
+def test_sectional_value_checks(saddle2d):
+    chart1 = target_chart(saddle2d, [1.0, 0.0], 1.0, 1.05)
+    with pytest.raises(RadiusError):
+        sectional_value(saddle2d, [1.0, 0.0], 1.0, np.array([1e-3, 0.0]),
+                        chart1)
+    with pytest.raises(SingularityError):
+        sectional_value(saddle2d, [0.0, 0.0], 1.0, np.zeros(2), chart1)
 
 
 def test_sectional_lorenz_derivative_shrinks_to_psi(lorenz,

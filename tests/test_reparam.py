@@ -7,12 +7,12 @@ from flowlab.errors import (DomainError, HypothesisError, NoPathError,
 from flowlab.fields import Box
 from flowlab.flowbox import chart_radius
 from flowlab.reparam import (Reparametrization, admissible_delta,
-                             brute_force_bottleneck, crossing_sequence,
-                             drift_bounds_check, drift_trials,
-                             estimate_speed_ratio_constant,
+                             crossing_sequence, drift_bounds_check,
+                             drift_trials, estimate_speed_ratio_constant,
                              fit_reparametrization, lattice_bottleneck,
                              measure_shadowing, orbit_time_control_trials,
                              rescaled_sup_distance)
+from oracles import brute_force_bottleneck
 
 
 # --------------------------------------------------------------------- theta
