@@ -333,11 +333,12 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     epsilon, the projected flow outside 3*epsilon, and a piecewise-linear
     blend in between.  Lipschitz constants are estimated per block by pair
     sampling plus the derivative-bound route; the larger estimate is kept.
-    P_j is evaluated by value only: the target chart at the image of node j
-    is built once per block, and each evaluation is one landing on it.
+    P_j is evaluated by value only: the target chart is built once per
+    block, at the image of node j that psi_T already flowed (each node is
+    flowed over T once), and each evaluation is one landing on it.
     """
-    from .poincare import (linear_poincare, section_radius, sectional_value,
-                           target_chart)
+    from .flowbox import make_chart
+    from .poincare import linear_poincare, section_radius, sectional_value
 
     orbit = splitting.orbit
     dt = orbit.step()
@@ -360,10 +361,7 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     psi_maps = [linear_poincare(field, orbit.states[j], T, tol)
                 for j in range(n - 1)]
     # ambient (d x d) action of psi_T from node j to node j+1
-    psi_amb = []
-    for j in range(n - 1):
-        m = psi_maps[j]
-        psi_amb.append(m.target.basis @ m.matrix @ m.source.basis.T)
+    psi_amb = [m.ambient_operator() for m in psi_maps]
 
     A = []
     D = []
@@ -394,7 +392,7 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
         A_j, D_j = A[j], D[j]
         bj, bj1 = b[j], b[j + 1]
         e_j = np.asarray(field.func(x_j), dtype=float) / speed_j
-        chart1 = target_chart(field, x_j, T, L, tol)
+        chart1 = make_chart(field, psi_maps[j].target.point, L)
 
         def block_linear(v):
             coords = Mj_pinv @ v
@@ -411,11 +409,10 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
             value, _ = sectional_value(field, x_j, T, w, chart1, tol)
             return beta * value + (1.0 - beta) * lin
 
-        # exact-zero anchor: subtract the (numerically tiny) image of 0
-        offset = bj1 * extended_section(np.zeros(d))
-
+        # phi_j(0) = 0 exactly: x_j + 0 lands on the chart base, where
+        # flowbox_invert returns v = 0 without a Newton step
         def phi(v):
-            return bj1 * extended_section(v / bj) - block_linear(v) - offset
+            return bj1 * extended_section(v / bj) - block_linear(v)
 
         return phi
 

@@ -34,23 +34,23 @@ from .scenario import Scenario, load_scenario
 from .util import write_csv, write_json
 
 
-def _box_from(vals, d):
-    vals = list(np.atleast_1d(vals))
-    if len(vals) != 2 * d:
-        raise ScenarioError(f"sample-box needs {2 * d} numbers")
-    return Box(np.asarray(vals[0::2], float), np.asarray(vals[1::2], float))
-
-
-def _sample_box(sc: Scenario, field, default=None):
-    if "sample-box" in sc.options:
-        return _box_from(sc.options["sample-box"], field.dimension)
-    if default is not None:
-        return default
-    return field.domain
-
-
 def _listify(v):
     return [v] if not isinstance(v, list) else v
+
+
+def _numbers(sc, key, n, default=(), kind=float):
+    """The n values of a scenario key; a ScenarioError for any other count."""
+    vals = _listify(sc.options.get(key, list(default)))
+    if len(vals) != n:
+        raise ScenarioError(f"{key} needs {n} numbers, got {len(vals)}")
+    return [kind(v) for v in vals]
+
+
+def _sample_box(sc: Scenario, field):
+    if "sample-box" not in sc.options:
+        return field.domain
+    vals = _numbers(sc, "sample-box", 2 * field.dimension)
+    return Box(np.asarray(vals[0::2], float), np.asarray(vals[1::2], float))
 
 
 def _print(line):
@@ -150,7 +150,7 @@ def _run_shadow(sc, field, out):
 
 
 def _run_split(sc, field, out):
-    start = np.asarray(_listify(sc.options.get("start")), dtype=float)
+    start = np.asarray(_numbers(sc, "start", field.dimension))
     burn = float(sc.options.get("burn", 0.0))
     t_block = float(sc.options.get("t-block", 0.5))
     blocks = int(sc.options.get("blocks", 20))
@@ -160,6 +160,9 @@ def _run_split(sc, field, out):
     lam = float(sc.options.get("lambda", 0.1))
     t_grid = [float(v) for v in _listify(sc.options.get("t-grid", t_block))]
     cocy = sc.options.get("cocycle-u", "flow-speed")
+    if cocy not in ("flow-speed", "trivial"):
+        raise ScenarioError(
+            f"cocycle-u must be flow-speed or trivial, got {cocy!r}")
     h_u = flow_speed_cocycle() if cocy == "flow-speed" else trivial_cocycle()
     x0 = start
     if burn > 0:
@@ -265,6 +268,8 @@ def _truncation_convergence(m, dim_s, dim_u, seed):
 
 
 def _scan_config(sc, field):
+    horizon = tuple(_numbers(sc, "horizon", 2, (-2.0, 2.0)))
+    lattice = tuple(_numbers(sc, "lattice", 2, (9, 17), int))
     box = _sample_box(sc, field)
     burn = float(sc.options.get("burn", 0.0))
     if "points" in sc.options:
@@ -275,15 +280,13 @@ def _scan_config(sc, field):
         n = int(sc.options.get("samples", 12))
         pts = [tuple(p) for p in sample_regular_points(
             field, box, n, seed=sc.seed, burn=burn, tol=sc.tol)]
-    horizon = [float(v) for v in _listify(sc.options.get("horizon", [-2.0, 2.0]))]
-    lattice = [int(v) for v in _listify(sc.options.get("lattice", [9, 17]))]
     L = sc.options.get("lipschitz")
     return ScanConfig(
         field=field, base_points=tuple(pts),
-        horizon=(horizon[0], horizon[1]),
+        horizon=horizon,
         epsilons=tuple(float(v) for v in _listify(sc.options.get("epsilons", 0.01))),
         deltas=tuple(float(v) for v in _listify(sc.options.get("deltas", 0.05))),
-        lattice=(lattice[0], lattice[1]),
+        lattice=lattice,
         budget=int(sc.options.get("budget", 200)), seed=sc.seed,
         grid_n=int(sc.options.get("grid", 64)),
         arc_tol=float(sc.options.get("arc-tol", 1e-6)), tol=sc.tol,

@@ -52,6 +52,8 @@ class ScanConfig:
             raise DomainError("budget must be positive")
         if self.horizon[0] >= self.horizon[1]:
             raise DomainError("horizon must be a nonempty interval")
+        if self.grid_n < 2:
+            raise DomainError("the conclusion grid needs at least 2 times")
         if self.lipschitz is not None:
             r0 = chart_radius(self.lipschitz)
             if max(self.epsilons) > r0:
@@ -124,27 +126,23 @@ def _orbit_displacement(field, chart, point, eps, arc_tol):
     return bool(on_orbit and abs(s) <= eps * (1.0 + 1e-9))
 
 
-@dataclass
-class PairEvaluation:
-    sup_by_theta: list              # (theta, sup, ys) candidates, best first
-    base_states: np.ndarray
-    grid: np.ndarray
+def _base_orbit(field, x, config):
+    """(t_nodes, states at t_nodes, grid, states at grid) of x, one solve.
+
+    The fit nodes and the conclusion grid are both `linspace`s over the
+    horizon, so one `flow_points` call over their union has the step
+    sequence of either alone and returns the same bits as two calls.
+    """
+    lo, hi = config.horizon[0], config.horizon[1]
+    t_nodes = np.linspace(lo, hi, max(2, int(config.lattice[0])))
+    grid = np.linspace(lo, hi, config.grid_n)
+    states = flow_points(field, x, np.concatenate([t_nodes, grid]), config.tol)
+    return t_nodes, states[:t_nodes.size], grid, states[t_nodes.size:]
 
 
-def _evaluate_pair(field, x, y, config, mode, thetas, cache=None):
-    """Measured sup of each candidate theta in the mode metric (inf = broken)."""
+def _evaluate_pair(field, y, config, mode, thetas, grid, xs):
+    """(theta, sup, ys) per theta against xs on grid, best first (inf = broken)."""
     rescale = mode == "rescaled"
-    grid = np.linspace(config.horizon[0], config.horizon[1], config.grid_n)
-    key = ("grid", tuple(np.asarray(x, float)))
-    try:
-        if cache is not None and key in cache:
-            xs = cache[key]
-        else:
-            xs = flow_points(field, x, grid, config.tol)
-            if cache is not None:
-                cache[key] = xs
-    except (EscapeError, StiffnessError):
-        return None
     speeds = np.array([speed(field, s) for s in xs])
     if np.any(speeds <= field.singular_speed()):
         if rescale:
@@ -159,7 +157,7 @@ def _evaluate_pair(field, x, y, config, mode, thetas, cache=None):
             continue
         out.append((theta, _sup(xs, ys, speeds, rescale), ys))
     out.sort(key=lambda p: p[1])
-    return PairEvaluation(sup_by_theta=out, base_states=xs, grid=grid)
+    return out
 
 
 def _sup(xs, ys, speeds, rescale):
@@ -191,21 +189,13 @@ def _violated(mode, grid, fails):
     return len(fails) > 0
 
 
-def _candidate_thetas(field, x, y, config, mode, cache=None):
-    """Fitted theta (sheared lattice around the identity) plus the identity."""
-    m, n_off = config.lattice
-    t_nodes = np.linspace(config.horizon[0], config.horizon[1], max(2, int(m)))
+def _candidate_thetas(field, x, y, config, mode, t_nodes, xs):
+    """Fitted theta (sheared lattice around the identity) plus the identity;
+    xs are the states of x at t_nodes."""
     width = max(config.deltas) * 3.0 + 1e-12
-    offsets = np.linspace(-width, width, max(3, int(n_off)))
+    offsets = np.linspace(-width, width, max(3, int(config.lattice[1])))
     thetas = [Reparametrization.identity()]
-    key = ("fit", tuple(np.asarray(x, float)))
     try:
-        if cache is not None and key in cache:
-            xs = cache[key]
-        else:
-            xs = flow_points(field, x, t_nodes, config.tol)
-            if cache is not None:
-                cache[key] = xs
         fitted, _ = fit_reparametrization(
             field, x, y, t_nodes=t_nodes,
             theta_nodes=t_nodes[:, None] + offsets[None, :],
@@ -273,26 +263,33 @@ def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
     witnesses = []
     pairs = _candidate_pairs(config)
     used = 0
-    cache = {}
+    orbits = {}                     # base point -> _base_orbit, None if broken
     for x, y in pairs:
         if used >= config.budget:
             break
         used += 1
-        thetas = _candidate_thetas(field, x, y, config, mode, cache)
-        ev = _evaluate_pair(field, x, y, config, mode, thetas, cache)
-        if ev is None:
+        xkey = tuple(np.asarray(x, float))
+        if xkey not in orbits:
+            try:
+                orbits[xkey] = _base_orbit(field, x, config)
+            except (EscapeError, StiffnessError):
+                orbits[xkey] = None
+        if orbits[xkey] is None:
             continue
+        t_nodes, x_nodes, grid, xs = orbits[xkey]
+        thetas = _candidate_thetas(field, x, y, config, mode, t_nodes, x_nodes)
+        candidates = _evaluate_pair(field, y, config, mode, thetas, grid, xs)
         for eps in config.epsilons:
             for delta in config.deltas:
                 key = (float(eps), float(delta))
                 if verdicts[key] == "violation":
                     continue
-                for theta, sup, ys in ev.sup_by_theta:
+                for theta, sup, ys in candidates:
                     if sup > delta:
                         break  # candidates are sorted; none shadows
-                    fails = _conclusion_failures(field, ev.grid, ev.base_states,
-                                                 ys, eps, L, config.arc_tol)
-                    if _violated(mode, ev.grid, fails):
+                    fails = _conclusion_failures(field, grid, xs, ys, eps, L,
+                                                 config.arc_tol)
+                    if _violated(mode, grid, fails):
                         verdicts[key] = "violation"
                         witnesses.append(Witness(
                             mode=mode, epsilon=float(eps), delta=float(delta),

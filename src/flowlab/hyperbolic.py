@@ -266,12 +266,12 @@ def evolve_direction(field, x, e, t, tol=1e-9):
 # splitting estimation
 
 
-def _step_maps(field, orbit, T_block, tol):
+def _step_maps(orbit, T_block, step):
+    """step(x) at every node but the last of an orbit spaced by T_block."""
     dt = orbit.step()
     if abs(dt - T_block) > 1e-9 * max(1.0, abs(T_block)):
         raise DomainError("orbit spacing must equal the block time")
-    return [linear_poincare(field, orbit.states[i], T_block, tol)
-            for i in range(orbit.n_nodes - 1)]
+    return [step(orbit.states[i]) for i in range(orbit.n_nodes - 1)]
 
 
 def _aligned_matrices(maps):
@@ -285,8 +285,9 @@ def _aligned_matrices(maps):
     return mats, frames
 
 
-def _growth_gap(mats, split_at):
-    """Ratio of adjacent per-step growth factors around the split index."""
+def _require_gap(mats, split_at, threshold):
+    """Raise unless the ratio of adjacent per-step growth factors around the
+    split index reaches the threshold."""
     d = mats[0].shape[0]
     Q = np.eye(d)
     logs = np.zeros(d)
@@ -296,7 +297,29 @@ def _growth_gap(mats, split_at):
         diag = np.abs(np.diag(R))
         logs += np.log(np.maximum(diag, 1e-300))
     rates = np.sort(logs / len(mats))[::-1]
-    return float(np.exp(rates[split_at - 1] - rates[split_at]))
+    gap = float(np.exp(rates[split_at - 1] - rates[split_at]))
+    if gap < threshold:
+        raise NoDominationError(
+            f"per-step singular value gap {gap:.4f} < {threshold}")
+
+
+def _power_sweeps(orbit, mats, fast, slow, warmup):
+    """Bases at every node: `fast` pushed forward by the step maps, `slow`
+    pulled back by their inverses.  Returns (window, keep, fwd, bwd); the
+    orbit window and the node slice keep drop `warmup` nodes at both ends."""
+    fwd = [fast]
+    for M in mats:
+        fwd.append(orthonormalize(M @ fwd[-1]))
+    bwd = [slow]
+    for M in reversed(mats):
+        bwd.append(orthonormalize(np.linalg.solve(M, bwd[-1])))
+    bwd.reverse()
+    n = orbit.n_nodes
+    if not warmup:
+        return orbit, slice(None), fwd, bwd
+    if 2 * warmup >= n:
+        raise DomainError("warmup leaves no nodes")
+    return orbit.slice(warmup, n - warmup), slice(warmup, n - warmup), fwd, bwd
 
 
 def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
@@ -317,12 +340,10 @@ def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
     if nd < 2 or dim_s < 1 or dim_u < 1:
         raise NoDominationError(
             "normal bundle admits no nontrivial splitting in this dimension")
-    maps = _step_maps(field, orbit, T_block, tol)
+    maps = _step_maps(orbit, T_block,
+                      lambda x: linear_poincare(field, x, T_block, tol))
     mats, frames = _aligned_matrices(maps)
-    gap = _growth_gap(mats, dim_u)
-    if gap < gap_threshold:
-        raise NoDominationError(
-            f"per-step singular value gap {gap:.4f} < {gap_threshold}")
+    _require_gap(mats, dim_u, gap_threshold)
 
     n = orbit.n_nodes
     if seed_splitting is not None:
@@ -336,25 +357,12 @@ def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
         U = orthonormalize(gen.normal(size=(nd, dim_u)))
         S_end = orthonormalize(gen.normal(size=(nd, dim_s)))
 
-    unstable_coords = [U]
-    for M in mats:
-        U = orthonormalize(M @ U)
-        unstable_coords.append(U)
-    stable_coords = [S_end]
-    for M in reversed(mats):
-        S_end = orthonormalize(np.linalg.solve(M, S_end))
-        stable_coords.append(S_end)
-    stable_coords.reverse()
-
+    window, keep, unstable_coords, stable_coords = _power_sweeps(
+        orbit, mats, U, S_end, warmup)
     stable = np.stack([frames[i].basis @ stable_coords[i] for i in range(n)])
     unstable = np.stack([frames[i].basis @ unstable_coords[i] for i in range(n)])
-    if warmup:
-        if 2 * warmup >= n:
-            raise DomainError("warmup leaves no nodes")
-        return NormalSplitting(orbit=orbit.slice(warmup, n - warmup),
-                               stable=stable[warmup:n - warmup],
-                               unstable=unstable[warmup:n - warmup])
-    return NormalSplitting(orbit=orbit, stable=stable, unstable=unstable)
+    return NormalSplitting(orbit=window, stable=stable[keep],
+                           unstable=unstable[keep])
 
 
 def estimate_tangent_splitting(field, orbit: OrbitSegment, dim_e: int,
@@ -365,38 +373,14 @@ def estimate_tangent_splitting(field, orbit: OrbitSegment, dim_e: int,
     dim_f = d - dim_e
     if dim_e < 1 or dim_f < 1:
         raise NoDominationError("tangent splitting dimensions out of range")
-    dt = orbit.step()
-    if abs(dt - T_block) > 1e-9 * max(1.0, abs(T_block)):
-        raise DomainError("orbit spacing must equal the block time")
-    mats = []
-    for i in range(orbit.n_nodes - 1):
-        _, Phi = flow(field, orbit.states[i], T_block, tol)
-        mats.append(Phi)
-    gap = _growth_gap(mats, dim_f)
-    if gap < gap_threshold:
-        raise NoDominationError(
-            f"per-step singular value gap {gap:.4f} < {gap_threshold}")
+    mats = _step_maps(orbit, T_block, lambda x: flow(field, x, T_block, tol)[1])
+    _require_gap(mats, dim_f, gap_threshold)
     gen = np.random.default_rng(0x5EED)
     F = orthonormalize(gen.normal(size=(d, dim_f)))
-    f_list = [F]
-    for M in mats:
-        F = orthonormalize(M @ F)
-        f_list.append(F)
     E = orthonormalize(gen.normal(size=(d, dim_e)))
-    e_list = [E]
-    for M in reversed(mats):
-        E = orthonormalize(np.linalg.solve(M, E))
-        e_list.append(E)
-    e_list.reverse()
-    n = orbit.n_nodes
-    if warmup:
-        if 2 * warmup >= n:
-            raise DomainError("warmup leaves no nodes")
-        return TangentSplitting(orbit=orbit.slice(warmup, n - warmup),
-                                e_basis=np.stack(e_list[warmup:n - warmup]),
-                                f_basis=np.stack(f_list[warmup:n - warmup]))
-    return TangentSplitting(orbit=orbit, e_basis=np.stack(e_list),
-                            f_basis=np.stack(f_list))
+    window, keep, f_list, e_list = _power_sweeps(orbit, mats, F, E, warmup)
+    return TangentSplitting(orbit=window, e_basis=np.stack(e_list)[keep],
+                            f_basis=np.stack(f_list)[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +431,8 @@ def check_domination(field, splitting: NormalSplitting, cocycles, C, lam,
     """Measure domination and rescaled contraction/expansion margins.
 
     `cocycles` is the pair (h_s, h_u).  Each t of the grid must be a
-    multiple of the orbit spacing so image nodes carry splitting data.
+    multiple of the orbit spacing so image nodes carry splitting data, and
+    shorter than the orbit window, so that some node pair is measured.
     Margins are bound/value ratios (>= 1 passes); nothing is raised.
     """
     h_s, h_u = cocycles
@@ -467,6 +452,9 @@ def check_domination(field, splitting: NormalSplitting, cocycles, C, lam,
         k = int(round(t / dt))
         if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)) or k <= 0:
             raise DomainError(f"t={t} is not a positive multiple of the orbit step")
+        if k >= n:
+            raise DomainError(f"t={t} leaves no node pair in the {n}-node "
+                              "orbit window")
         bound = C * np.exp(-lam * t)
         for i in range(n - k):
             x = orbit.states[i]

@@ -67,10 +67,6 @@ class NormalMap:
     target: NormalFrame
     matrix: np.ndarray  # (d-1, d-1)
 
-    def apply(self, v):
-        """Apply to an ambient normal vector at the source point."""
-        return self.target.basis @ (self.matrix @ (self.source.basis.T @ np.asarray(v, dtype=float)))
-
     def compose(self, first: "NormalMap") -> "NormalMap":
         """self o first; frames at the junction are aligned automatically."""
         R = self.source.basis.T @ first.target.basis
@@ -175,18 +171,16 @@ class SectionalMap:
     target: NormalFrame
     time_offset: float           # chart time coordinate of the landing point
 
-    @property
-    def derivative_map(self) -> NormalMap:
-        return NormalMap(source=self.source, target=self.target,
-                         matrix=self.derivative)
-
 
 def target_chart(field, x, T, L, tol=1e-9) -> FlowboxChart:
     """Flowbox chart at the time-T image of x, where the sectional map lands.
 
     It depends only on (x, T, L), so a caller that evaluates the sectional
     map from one base point many times builds it once and passes it to
-    every `sectional_value` call.
+    every `sectional_value` call.  A caller that already flowed x for T
+    with the same tol (e.g. `linear_poincare(field, x, T, tol).target.point`)
+    gets the same chart from `make_chart(field, image, L)` without this
+    second flow.
     """
     x1, _ = flow(field, np.asarray(x, dtype=float), T, tol)
     return make_chart(field, x1, L)

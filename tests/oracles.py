@@ -3,11 +3,15 @@
 Each one computes the same quantity as a flowlab function by exhaustive
 search, with none of its algorithm: `brute_force_bottleneck` against
 `reparam.lattice_bottleneck`, `angle_brute` against `blockseq.angle`.
+`verify_box_bounds_loop` is the per-node loop form of
+`flowbox.verify_box_bounds`: the same arithmetic, one grid node at a time.
 """
 
 import numpy as np
 
 from flowlab.errors import NoPathError
+from flowlab.fields import flow_states_batch, speed
+from flowlab.flowbox import BoxBoundsReport, _ball_grid
 from flowlab.util import orthonormalize
 
 _STEPS = ((1, 0), (0, 1), (1, 1))
@@ -67,3 +71,88 @@ def angle_brute(S, U, n_grid=2000, seed=0):
         return best
 
     return min(side(S, U), side(U, S))
+
+
+def verify_box_bounds_loop(chart, grid: int, tol=1e-9,
+                           fd_slack=1e-3) -> BoxBoundsReport:
+    """Per-node loop form of `verify_box_bounds` (oracle).
+
+    Central differences with steps 1e-5 * r0 * |X(x)| (normal directions) and
+    1e-5 * r0 (time direction). Violations are reported with their witness
+    node, never raised.
+    """
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    field = chart.field
+    d = field.dimension
+    vs, ts = _ball_grid(chart, grid)
+    hv = 1e-5 * chart.v_radius
+    ht = 1e-5 * chart.r0
+    Q = np.column_stack([chart.frame, chart.flow_dir])
+    sing_floor = field.singular_speed()
+
+    max_dev = 0.0
+    min_mini = np.inf
+    max_norm = 0.0
+    no_sing = True
+    witnesses = []
+
+    for t in ts:
+        # stack per t-node: for every v node the center point plus the
+        # 2(d-1) normal-step points, all integrated at once
+        pts = []
+        for v in vs:
+            p0 = chart.base + chart.frame @ v
+            pts.append(p0)
+            for k in range(d - 1):
+                step = hv * chart.frame[:, k]
+                pts.append(p0 + step)
+                pts.append(p0 - step)
+        pts = np.asarray(pts)
+        block = 2 * (d - 1) + 1
+        if t == 0.0:
+            back = flow_states_batch(field, pts, -ht, tol)
+            fwd = flow_states_batch(field, pts, ht, tol)
+            frames = np.stack([back, pts, fwd])
+        else:
+            tev = np.array(sorted([t - ht, t, t + ht], key=abs))
+            if t < 0:
+                tev = np.sort(tev)[::-1]
+            else:
+                tev = np.sort(tev)
+            frames_raw = flow_states_batch(field, pts, t + np.sign(t) * ht,
+                                           tol, t_eval=tev)
+            idx = {float(tv): i for i, tv in enumerate(tev)}
+            frames = np.stack([frames_raw[idx[t - ht]], frames_raw[idx[t]],
+                               frames_raw[idx[t + ht]]])
+        for m, v in enumerate(vs):
+            rows = frames[:, m * block:(m + 1) * block, :]
+            center = rows[1, 0]
+            M = np.empty((d, d))
+            for k in range(d - 1):
+                M[:, k] = (rows[1, 1 + 2 * k] - rows[1, 2 + 2 * k]) / (2.0 * hv)
+            M[:, d - 1] = (rows[2, 0] - rows[0, 0]) / (2.0 * ht) / chart.speed
+            dev = float(np.linalg.norm(M - Q, 2))
+            sv = np.linalg.svd(M, compute_uv=False)
+            mini, norm = float(sv[-1]), float(sv[0])
+            img_speed = speed(field, center)
+            max_dev = max(max_dev, dev)
+            min_mini = min(min_mini, mini)
+            max_norm = max(max_norm, norm)
+            if img_speed <= sing_floor:
+                no_sing = False
+            bad = (dev > 0.5 + fd_slack or mini < 0.5 - fd_slack
+                   or norm > 2.0 + fd_slack or img_speed <= sing_floor)
+            if bad:
+                witnesses.append({"v": (chart.frame @ v).tolist(),
+                                  "t": float(t), "dev": dev,
+                                  "mininorm": mini, "norm": norm,
+                                  "image_speed": img_speed})
+
+    bounds_ok = (max_dev <= 0.5 + fd_slack and min_mini >= 0.5 - fd_slack
+                 and max_norm <= 2.0 + fd_slack and no_sing)
+    return BoxBoundsReport(base=chart.base, r0=chart.r0, speed=chart.speed,
+                           max_dev_from_id=max_dev, min_mininorm=min_mini,
+                           max_norm=max_norm, no_singularity=no_sing,
+                           bounds_ok=bounds_ok, fd_slack=fd_slack,
+                           witnesses=witnesses)

@@ -243,6 +243,26 @@ def test_assembly_never_differentiates_the_sectional_map(diag_assembly,
     assert fp.converged and fp.final_norm <= 1e-12
 
 
+def test_assembly_flows_each_node_once(diag_assembly, monkeypatch):
+    # psi_T's flow of (x_j, T) also places the target chart; no second one
+    import flowlab.poincare as P
+    g, spl, rb, _ = diag_assembly
+    seen = {}
+    inner = P.flow
+
+    def counting_flow(field, x, t, tol=1e-9):
+        key = (tuple(np.asarray(x, dtype=float).tolist()), float(t))
+        seen[key] = seen.get(key, 0) + 1
+        return inner(field, x, t, tol)
+
+    monkeypatch.setattr(P, "flow", counting_flow)
+    assemble_block_system(g, spl, rb, 1.0, epsilon=1e-3, L=1.05, tol=1e-11,
+                          lip_samples=8, enforce_radius=False)
+    for j in range(spl.orbit.n_nodes - 1):
+        assert seen[(tuple(spl.orbit.states[j].tolist()), 1.0)] == 1
+    assert max(seen.values()) == 1
+
+
 def _phi_from_sectional_poincare(g, spl, rb, system, j, T, epsilon, L, tol):
     """phi_j built on `sectional_poincare(...).value`: the reference that
     the assembled value-only phi_j must match bit for bit."""

@@ -68,21 +68,45 @@ def test_shift_pairs_never_violate(rotation):
         from flowlab.fields import flow_points
         y = flow_points(rotation, x, [s], 1e-10)[0]
         for mode in ("rescaled", "komuro", "bowen_walters"):
-            thetas = E._candidate_thetas(rotation, x, y, cfg, mode)
-            ev = E._evaluate_pair(rotation, x, y, cfg, mode, thetas)
-            for theta, sup, ys in ev.sup_by_theta:
+            t_nodes, x_nodes, grid, x_grid = E._base_orbit(rotation, x, cfg)
+            thetas = E._candidate_thetas(rotation, x, y, cfg, mode, t_nodes,
+                                         x_nodes)
+            for theta, sup, ys in E._evaluate_pair(rotation, y, cfg, mode,
+                                                   thetas, grid, x_grid):
                 if sup > 0.1:
                     continue
-                fails = E._conclusion_failures(rotation, ev.grid,
-                                               ev.base_states, ys, eps, 1.05,
-                                               cfg.arc_tol)
+                fails = E._conclusion_failures(rotation, grid, x_grid, ys,
+                                               eps, 1.05, cfg.arc_tol)
                 if mode == "komuro":
-                    assert len(fails) < ev.grid.size
+                    assert len(fails) < grid.size
                 elif mode == "bowen_walters":
-                    t0 = float(ev.grid[int(np.argmin(np.abs(ev.grid)))])
+                    t0 = float(grid[int(np.argmin(np.abs(grid)))])
                     assert t0 not in fails
                 else:
                     assert not fails
+
+
+def test_one_base_orbit_solve_per_point(rotation, monkeypatch):
+    # the fit nodes and the conclusion grid share one solve per base point
+    import flowlab.expansive as E
+    # budget 12 covers the 12 perturbation pairs; no y starts at a base point
+    cfg = _rotation_config(rotation, budget=12,
+                           base_points=((1.0, 0.0), (0.0, 1.3), (-0.8, 0.3)))
+    calls = []
+    inner = E.flow_points
+
+    def recording(field, x, times, tol=1e-9):
+        times = np.asarray(times, dtype=float)
+        calls.append((tuple(np.asarray(x, dtype=float)), times.min(),
+                      times.max()))
+        return inner(field, x, times, tol)
+
+    monkeypatch.setattr(E, "flow_points", recording)
+    rep = expansiveness_scan(cfg, "rescaled")
+    assert rep.budget_used == 12
+    for bp in cfg.base_points:
+        spans = [c for c in calls if c == (tuple(map(float, bp)), -3.0, 3.0)]
+        assert len(spans) == 1, bp
 
 
 def test_budget_monotonicity(rotation):

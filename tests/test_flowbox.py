@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flowlab.errors import BoxBoundsError, NotInBoxError, SingularityError
+from flowlab.errors import (BoxBoundsError, EscapeError, NotInBoxError,
+                            SingularityError)
 from flowlab.fields import speed
 from flowlab.flowbox import (chart_radius, flowbox_invert, flowbox_map,
                              make_chart, verify_box_bounds)
+from oracles import verify_box_bounds_loop
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,32 @@ def test_bounds_grid2_matches_closed_form(saddle2d):
             worst = max(worst, np.linalg.norm(M - Q, 2))
     assert rep.max_dev_from_id == pytest.approx(worst, abs=5e-4)
     assert rep.bounds_ok
+
+
+@pytest.mark.parametrize("name, base, L, grids", [
+    ("rotation", [0.3, -0.7], 1.05, (2, 3, 12)),
+    ("saddle2d", [0.5, 0.4], 1.05, (2, 3, 12)),
+    ("lorenz", [-5.0, -6.0, 20.0], 30.0, (2, 3)),
+    ("saddle_susp", [0.5, -0.3, 1.0], 1.05, (2, 3)),
+    ("rotation", [1.0, 0.0], 0.3, (12,)),     # radius large enough to fail
+])
+def test_bounds_array_form_is_bitwise_the_loop(request, name, base, L, grids):
+    chart = make_chart(request.getfixturevalue(name), base, L)
+    for grid in grids:
+        got = verify_box_bounds(chart, grid, tol=1e-9).to_json_dict()
+        want = verify_box_bounds_loop(chart, grid, tol=1e-9).to_json_dict()
+        assert repr(got) == repr(want)
+        if L == 0.3:
+            assert want["witnesses"]
+
+
+def test_bounds_array_form_escapes_like_the_loop(saddle_susp):
+    chart = make_chart(saddle_susp, [0.5, -0.3, 1.0], 0.05)
+    with pytest.raises(EscapeError) as want:
+        verify_box_bounds_loop(chart, 3)
+    with pytest.raises(EscapeError) as got:
+        verify_box_bounds(chart, 3)
+    assert str(got.value) == str(want.value)
 
 
 def test_report_json_shape(saddle_chart):

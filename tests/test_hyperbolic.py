@@ -114,10 +114,12 @@ def test_domination_requires_grid_on_nodes(diag_mixed):
     orbit = sample_orbit(diag_mixed, np.array([0.0, 0.0, 1.0]),
                          np.arange(4) * 0.5, tol=1e-11)
     spl = _eigen_splitting(orbit)
-    with pytest.raises(DomainError):
-        check_domination(diag_mixed, spl,
-                         (trivial_cocycle(), flow_speed_cocycle()),
-                         1.05, 0.4, [0.7])
+    # 0.7 is off the node spacing; 2.0 spans the whole 4-node window
+    for t_grid in ([0.7], [2.0]):
+        with pytest.raises(DomainError):
+            check_domination(diag_mixed, spl,
+                             (trivial_cocycle(), flow_speed_cocycle()),
+                             1.05, 0.4, t_grid)
 
 
 # ------------------------------------------------------- induced splitting

@@ -62,11 +62,23 @@ def test_parse_requires_field():
 
 
 def test_unknown_field_kind_exits_2(tmp_path, capsys):
+    # and the other malformed values that once crashed or passed silently
+    lorenz = "field lorenz\n  params 10 28 2.6666666666666665\n\n"
+    cases = [
+        ("field warpdrive\n\ncommand flowbox\n  bases 1\n", "registry"),
+        ("field rotation\n\ncommand expansive\n  points 1 0\n"
+         "  horizon -3\n", "horizon needs 2 numbers"),
+        ("field rotation\n\ncommand expansive\n  points 1 0\n"
+         "  lattice 9\n", "lattice needs 2 numbers"),
+        (lorenz + "command split\n  start 1 1 1\n  cocycle-u flowspeed\n",
+         "cocycle-u"),
+        (lorenz + "command split\n  start 1 1\n", "start needs 3 numbers"),
+    ]
     p = tmp_path / "bad.scn"
-    p.write_text("field warpdrive\n\ncommand flowbox\n  bases 1\n")
-    assert run_scenario(str(p)) == 2
-    err = capsys.readouterr().err
-    assert "registry" in err
+    for text, message in cases:
+        p.write_text(text)
+        assert run_scenario(str(p), out=str(tmp_path / "out")) == 2, text
+        assert message in capsys.readouterr().err
 
 
 def test_flowbox_scenario_passes(tmp_path):
