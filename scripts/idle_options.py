@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""List flowlab parameters that no caller varies.
+
+An AST pass collects every function and method defined in `src/flowlab`
+and every call in `src/`, `scripts/`, `perfbench/` and `tests/`, matched to
+its callee by name (`f(...)` and `obj.f(...)` both call every `f`).  It
+prints two lists:
+
+    idle default     a defaulted parameter that no call site sets
+    filled default   a `None` default that every call site sets
+
+`tol` is left out: it is the accuracy contract of the whole API.  A call
+that passes a parameter sets it whatever the value (a variable that may
+hold `None` included), a call with `*args` or `**kwargs` counts as setting
+every parameter, and a
+function that is never called by name (a handler in a table, a method
+reached only through an operator) is not listed.  Run from anywhere:
+
+    python3 scripts/idle_options.py
+"""
+
+import ast
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "scripts", "perfbench", "tests")
+EXCLUDED = {"tol"}
+
+
+def _definitions(path):
+    """(qualified name, called name, positional params, defaults) per def."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaults = dict(zip(positional[len(positional)
+                                               - len(a.defaults):],
+                                    a.defaults))
+                defaults.update({p.arg: d for p, d in
+                                 zip(a.kwonlyargs, a.kw_defaults)
+                                 if d is not None})
+                # obj.m(...) and Class(...) bind self implicitly
+                if owner is not None and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in node.decorator_list):
+                    positional = positional[1:]
+                qual = f"{path.stem}.{owner + '.' if owner else ''}{node.name}"
+                # a constructor is called by its class name
+                name = owner if node.name == "__init__" else node.name
+                out.append((qual, name, positional, defaults))
+    visit(tree.body, None)
+    return out
+
+
+def _calls(paths):
+    """callee name -> per call (positional count, keywords), None if starred."""
+    calls = defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                name = f.id
+            elif isinstance(f, ast.Attribute):
+                name = f.attr
+            else:
+                continue
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls[name].append(None if starred else
+                               (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def scan(root=ROOT):
+    defs = []
+    for path in sorted((root / "src" / "flowlab").glob("*.py")):
+        defs.extend(_definitions(path))
+    callers = [p for d in CALLER_DIRS for p in sorted((root / d).rglob("*.py"))]
+    calls = _calls(callers)
+    idle, filled = [], []
+    for qual, name, positional, defaults in defs:
+        sites = calls.get(name, [])
+        if not sites:
+            continue
+        for param, default in defaults.items():
+            if param in EXCLUDED:
+                continue
+            idx = positional.index(param) if param in positional else None
+            set_at = [site is None or param in site[1]
+                      or (idx is not None and idx < site[0])
+                      for site in sites]
+            if not any(set_at):
+                idle.append(f"{qual}({param}={ast.unparse(default)})")
+            elif (isinstance(default, ast.Constant) and default.value is None
+                  and all(set_at)):
+                filled.append(f"{qual}({param}=None)")
+    return idle, filled
+
+
+def main():
+    idle, filled = scan()
+    for label, items in (("idle default", idle), ("filled default", filled)):
+        print(f"{label}: {len(items)}")
+        for item in items:
+            print(f"  {item}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,14 +32,15 @@ def angle(S, U) -> float:
     return angle_with_flag(S, U)[0]
 
 
-def angle_with_flag(S, U, rank_tol=1e-12):
+def angle_with_flag(S, U):
+    """(angle, flag); the flag marks subspaces within 1e-12 of meeting."""
     S = orthonormalize(np.atleast_2d(np.asarray(S, dtype=float)))
     U = orthonormalize(np.atleast_2d(np.asarray(U, dtype=float)))
     if S.shape[1] == 0 or U.shape[1] == 0:
         raise DomainError("angle needs nontrivial subspaces")
     sv = np.linalg.svd(S.T @ U, compute_uv=False)
     top = float(sv[0]) if sv.size else 0.0
-    if top >= 1.0 - rank_tol:
+    if top >= 1.0 - 1e-12:
         return 0.0, True
     return float(np.sqrt(max(0.0, 1.0 - top * top))), False
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blockseq import contraction_bound, make_random_system, solve_fixed_point
+from .blockseq import (BlockSequenceSystem, contraction_bound,
+                       make_random_system, solve_fixed_point, solve_linear_part)
 from .errors import FlowLabError, ScenarioError
 from .expansive import (MODES, ScanConfig, epsilon0_estimate,
                         expansiveness_scan, nonsingular_equivalence_probe,
@@ -34,16 +35,25 @@ from .scenario import Scenario, load_scenario
 from .util import write_csv, write_json
 
 
-def _listify(v):
-    return [v] if not isinstance(v, list) else v
-
-
-def _numbers(sc, key, n, default=(), kind=float):
-    """The n values of a scenario key; a ScenarioError for any other count."""
-    vals = _listify(sc.options.get(key, list(default)))
-    if len(vals) != n:
-        raise ScenarioError(f"{key} needs {n} numbers, got {len(vals)}")
+def _numbers(sc, key, n=None, default=(), kind=float):
+    """The values of a scenario key as `kind`; a ScenarioError unless there
+    are n of them (any count if n is None), each finite and of that kind."""
+    vals = sc.options.get(key, list(default))
+    vals = vals if isinstance(vals, list) else [vals]
+    if n is not None and len(vals) != n:
+        raise ScenarioError(f"{key} needs {n} number{'s' * (n != 1)}, "
+                            f"got {len(vals)}")
+    for v in vals:
+        if not (isinstance(v, int)
+                or (isinstance(v, float) and np.isfinite(v))):
+            raise ScenarioError(f"{key} needs numbers, got {v!r}")
+        if kind is int and not float(v).is_integer():
+            raise ScenarioError(f"{key} needs integers, got {v!r}")
     return [kind(v) for v in vals]
+
+
+def _number(sc, key, default, kind=float):
+    return _numbers(sc, key, 1, (default,), kind)[0]
 
 
 def _sample_box(sc: Scenario, field):
@@ -63,10 +73,10 @@ def _print(line):
 
 def _run_flowbox(sc, field, out):
     box = _sample_box(sc, field)
-    n_bases = int(sc.options.get("bases", 10))
-    grid = int(sc.options.get("grid", 5))
-    burn = float(sc.options.get("burn", 0.0))
-    L = estimate_lipschitz(field, box, int(sc.options.get("lipschitz-samples", 256)),
+    n_bases = _number(sc, "bases", 10, int)
+    grid = _number(sc, "grid", 5, int)
+    burn = _number(sc, "burn", 0.0)
+    L = estimate_lipschitz(field, box, _number(sc, "lipschitz-samples", 256, int),
                            seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, burn=burn,
                                 tol=sc.tol)
@@ -96,11 +106,11 @@ def _run_flowbox(sc, field, out):
 
 def _run_poincare(sc, field, out):
     box = _sample_box(sc, field)
-    n_bases = int(sc.options.get("bases", 5))
-    burn = float(sc.options.get("burn", 0.0))
-    T = float(sc.options.get("t", 0.5))
-    id_tol = float(sc.options.get("identity-tol", 1e-3))
-    fd_rel = float(sc.options.get("fd-step-rel", 1e-4))
+    n_bases = _number(sc, "bases", 5, int)
+    burn = _number(sc, "burn", 0.0)
+    T = _number(sc, "t", 0.5)
+    id_tol = _number(sc, "identity-tol", 1e-3)
+    fd_rel = _number(sc, "fd-step-rel", 1e-4)
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, burn=burn,
                                 tol=sc.tol)
@@ -131,14 +141,14 @@ def _run_poincare(sc, field, out):
 
 def _run_shadow(sc, field, out):
     box = _sample_box(sc, field)
-    pairs = int(sc.options.get("pairs", 20))
-    epsilon = float(sc.options.get("epsilon", 0.3))
+    pairs = _number(sc, "pairs", 20, int)
+    epsilon = _number(sc, "epsilon", 0.3)
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     r0 = chart_radius(L)
-    T = float(sc.options.get("t-factor", 1.0)) * r0
+    T = _number(sc, "t-factor", 1.0) * r0
     trials = drift_trials(field, box, epsilon, T, pairs, seed=sc.seed,
-                          n_t_nodes=int(sc.options.get("t-nodes", 9)),
-                          n_offsets=int(sc.options.get("offsets", 17)),
+                          n_t_nodes=_number(sc, "t-nodes", 9, int),
+                          n_offsets=_number(sc, "offsets", 17, int),
                           tol=sc.tol, L=L)
     trials_to_csv(trials, out / "series-shadow.csv")
     bad = [t for t in trials if not t.bound_ok]
@@ -151,14 +161,14 @@ def _run_shadow(sc, field, out):
 
 def _run_split(sc, field, out):
     start = np.asarray(_numbers(sc, "start", field.dimension))
-    burn = float(sc.options.get("burn", 0.0))
-    t_block = float(sc.options.get("t-block", 0.5))
-    blocks = int(sc.options.get("blocks", 20))
-    dim_s = int(sc.options.get("dim-s", 1))
-    warmup = int(sc.options.get("warmup", 3))
-    C = float(sc.options.get("c", 1.05))
-    lam = float(sc.options.get("lambda", 0.1))
-    t_grid = [float(v) for v in _listify(sc.options.get("t-grid", t_block))]
+    burn = _number(sc, "burn", 0.0)
+    t_block = _number(sc, "t-block", 0.5)
+    blocks = _number(sc, "blocks", 20, int)
+    dim_s = _number(sc, "dim-s", 1, int)
+    warmup = _number(sc, "warmup", 3, int)
+    C = _number(sc, "c", 1.05)
+    lam = _number(sc, "lambda", 0.1)
+    t_grid = _numbers(sc, "t-grid", default=(t_block,))
     cocy = sc.options.get("cocycle-u", "flow-speed")
     if cocy not in ("flow-speed", "trivial"):
         raise ScenarioError(
@@ -170,7 +180,7 @@ def _run_split(sc, field, out):
     orbit = sample_orbit(field, x0, np.arange(blocks + 1) * t_block, tol=sc.tol)
     splitting = estimate_normal_splitting(
         field, orbit, dim_s, t_block, tol=sc.tol, warmup=warmup,
-        gap_threshold=float(sc.options.get("gap-threshold", 1.05)))
+        gap_threshold=_number(sc, "gap-threshold", 1.05))
     rep = check_domination(field, splitting, (trivial_cocycle(), h_u), C, lam,
                            t_grid, tol=sc.tol)
     rep.to_csv(out / "series-split.csv")
@@ -182,13 +192,13 @@ def _run_split(sc, field, out):
 
 
 def _run_fixedpoint(sc, field, out):
-    n_sys = int(sc.options.get("systems", 20))
-    n_starts = int(sc.options.get("starts", 5))
-    blocks = int(sc.options.get("blocks", 10))
-    kappa_max = float(sc.options.get("kappa-max", 0.9))
-    dim_s = int(sc.options.get("dim-s", 1))
-    dim_u = int(sc.options.get("dim-u", 1))
-    solve_tol = float(sc.options.get("solve-tol", 5e-11))
+    n_sys = _number(sc, "systems", 20, int)
+    n_starts = _number(sc, "starts", 5, int)
+    blocks = _number(sc, "blocks", 10, int)
+    kappa_max = _number(sc, "kappa-max", 0.9)
+    dim_s = _number(sc, "dim-s", 1, int)
+    dim_u = _number(sc, "dim-u", 1, int)
+    solve_tol = _number(sc, "solve-tol", 5e-11)
     rng = np.random.default_rng(sc.seed)
     findings = 0
     rows = []
@@ -243,18 +253,13 @@ def _truncation_convergence(m, dim_s, dim_u, seed):
     per component, so for data supported inside the common window the
     difference is exactly zero (reported as evidence, not assumed).
     """
-    from .blockseq import make_random_system, solve_linear_part
     rng = np.random.default_rng(seed + 1)
     wide = make_random_system(4 * m + 1, dim_s, dim_u, 0.5, seed=seed + 1,
                               i_start=-2 * m)
-    narrow = make_random_system(2 * m + 1, dim_s, dim_u, 0.5, seed=seed + 1,
-                                i_start=-m)
-    # share the linear data on the common window
-    narrow.bases_s = wide.bases_s[m:3 * m + 1]
-    narrow.bases_u = wide.bases_u[m:3 * m + 1]
-    narrow.A = wide.A[m:3 * m]
-    narrow.D = wide.D[m:3 * m]
-    narrow.meta.pop("_pinv_cache", None)
+    # the wide system's linear data on the common window
+    narrow = BlockSequenceSystem(-m, wide.bases_s[m:3 * m + 1],
+                                 wide.bases_u[m:3 * m + 1], wide.A[m:3 * m],
+                                 wide.D[m:3 * m], wide.eta, wide.alpha, wide.xi)
     w_narrow = [rng.normal(size=narrow.block_dim(j))
                 for j in range(narrow.n_blocks)]
     w_wide = wide.zero()
@@ -271,26 +276,29 @@ def _scan_config(sc, field):
     horizon = tuple(_numbers(sc, "horizon", 2, (-2.0, 2.0)))
     lattice = tuple(_numbers(sc, "lattice", 2, (9, 17), int))
     box = _sample_box(sc, field)
-    burn = float(sc.options.get("burn", 0.0))
+    burn = _number(sc, "burn", 0.0)
     if "points" in sc.options:
-        vals = [float(v) for v in _listify(sc.options["points"])]
+        vals = _numbers(sc, "points")
         d = field.dimension
+        if len(vals) % d:
+            raise ScenarioError(
+                f"points needs a multiple of {d} numbers, got {len(vals)}")
         pts = [tuple(vals[i:i + d]) for i in range(0, len(vals), d)]
     else:
-        n = int(sc.options.get("samples", 12))
+        n = _number(sc, "samples", 12, int)
         pts = [tuple(p) for p in sample_regular_points(
             field, box, n, seed=sc.seed, burn=burn, tol=sc.tol)]
-    L = sc.options.get("lipschitz")
     return ScanConfig(
         field=field, base_points=tuple(pts),
         horizon=horizon,
-        epsilons=tuple(float(v) for v in _listify(sc.options.get("epsilons", 0.01))),
-        deltas=tuple(float(v) for v in _listify(sc.options.get("deltas", 0.05))),
+        epsilons=tuple(_numbers(sc, "epsilons", default=(0.01,))),
+        deltas=tuple(_numbers(sc, "deltas", default=(0.05,))),
         lattice=lattice,
-        budget=int(sc.options.get("budget", 200)), seed=sc.seed,
-        grid_n=int(sc.options.get("grid", 64)),
-        arc_tol=float(sc.options.get("arc-tol", 1e-6)), tol=sc.tol,
-        lipschitz=None if L is None else float(L))
+        budget=_number(sc, "budget", 200, int), seed=sc.seed,
+        grid_n=_number(sc, "grid", 64, int),
+        arc_tol=_number(sc, "arc-tol", 1e-6), tol=sc.tol,
+        lipschitz=(_numbers(sc, "lipschitz", 1)[0]
+                   if "lipschitz" in sc.options else None))
 
 
 def _run_expansive(sc, field, out):
@@ -322,9 +330,9 @@ def _run_expansive(sc, field, out):
 
 def _run_constants(sc, field, out):
     box = _sample_box(sc, field)
-    T = float(sc.options.get("t", 1.0))
-    samples = int(sc.options.get("samples", 256))
-    eps_list = [float(v) for v in _listify(sc.options.get("epsilons", 0.1))]
+    T = _number(sc, "t", 1.0)
+    samples = _number(sc, "samples", 256, int)
+    eps_list = _numbers(sc, "epsilons", default=(0.1,))
     L = estimate_lipschitz(field, box, samples, seed=sc.seed)
     c = estimate_speed_ratio_constant(field, box, seed=sc.seed)
     r0 = chart_radius(L)
@@ -334,10 +342,7 @@ def _run_constants(sc, field, out):
         "delta": {str(e): admissible_delta(e, L, c) for e in eps_list},
     }
     if T > r0:
-        x0 = sample_regular_points(field, box, 1, seed=sc.seed, tol=sc.tol)[0]
-        orbit = sample_orbit(field, x0, np.linspace(0.0, T, 8), tol=sc.tol)
-        report["epsilon0"] = epsilon0_estimate(field, orbit, T, L=L, c=c,
-                                               seed=sc.seed)
+        report["epsilon0"] = epsilon0_estimate(T, L, c)
     _print(f"constants L={L:.4f} r0={r0:.5f} c={c:.5f}")
     return report, 0
 

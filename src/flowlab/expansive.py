@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import (DomainError, EscapeError, FlowLabError, HorizonError,
                      NotInBoxError, SingularityError, StiffnessError)
-from .fields import (OrbitSegment, estimate_lipschitz, field_from_json,
-                     flow_points, speed)
+from .fields import estimate_lipschitz, field_from_json, flow_points, speed
 from .flowbox import chart_radius, flowbox_invert, make_chart
 from .poincare import section_radius
 from .reparam import (Reparametrization, admissible_delta,
-                      estimate_speed_ratio_constant, fit_reparametrization)
+                      fit_reparametrization)
 from .util import read_json, write_json
 
 MODES = ("rescaled", "komuro", "bowen_walters")
@@ -348,19 +347,13 @@ def replay_witness(source) -> ReplayResult:
 # admissible epsilon for the shadowing-implies-arc statement
 
 
-def epsilon0_estimate(field, orbit: OrbitSegment, T, L=None, c=None, seed=0):
-    """Admissible epsilon: min(r1(T)/3, 3 delta(T)) on the orbit's region.
+def epsilon0_estimate(T, L, c):
+    """Admissible epsilon min(r1/3, 3 delta_T) for a horizon T > r0.
 
-    delta(T) collects the crossing-sequence requirements: below r0/12, below
-    r1(T)/3, and below the drift level delta(eps_T) with eps_T = r0 / (2 T).
-    Monotone non-increasing in the effective Lipschitz constant.
+    r0 = 1/(10 L_eff), r1 = r1(T), and delta_T = min(r0/12, r1/3, delta(eps_T))
+    with eps_T = r0/(2T) and delta = `admissible_delta`(., L, c) collects the
+    crossing-sequence requirements.  Monotone non-increasing in L_eff.
     """
-    from .fields import orbit_bounding_region
-    region = orbit_bounding_region(orbit)
-    if L is None:
-        L = estimate_lipschitz(field, region, 256, seed=seed)
-    if c is None:
-        c = estimate_speed_ratio_constant(field, region, seed=seed)
     r0 = chart_radius(L)
     if T <= r0:
         raise HorizonError(f"T={T} must exceed the chart radius r0={r0:.3e}")
@@ -412,14 +405,12 @@ def nonsingular_equivalence_probe(field, config: ScanConfig) -> ProbeReport:
     thresholds = {m: {} for m in MODES}
     for m in MODES:
         for eps in config.epsilons:
-            clean = [d for d in deltas
-                     if reports[m].verdict(eps, d) == "no-violation-found"]
-            # largest clean delta below the first violated level
-            violated = [d for d in deltas
-                        if reports[m].verdict(eps, d) == "violation"]
-            lim = min(violated) if violated else np.inf
-            clean = [d for d in clean if d < lim]
-            thresholds[m][float(eps)] = max(clean) if clean else None
+            # every delta below the first violated level is clean
+            lim = min((d for d in deltas
+                       if reports[m].verdict(eps, d) == "violation"),
+                      default=np.inf)
+            thresholds[m][float(eps)] = max(
+                (d for d in deltas if d < lim), default=None)
     consistent = True
     factor = ratio * grid_slack * (1.0 + 1e-9)
     for eps in config.epsilons:

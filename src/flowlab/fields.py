@@ -544,7 +544,7 @@ def orbit_to_csv(segment: OrbitSegment, path):
 def estimate_lipschitz(field, region: Box, samples: int, seed: int = 0) -> float:
     """Sampled sup of the Jacobian operator norm times a 1.05 safety factor."""
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise DomainError("samples must be >= 1")
     if not isinstance(region, Box):
         region = Box(np.asarray(region[0]), np.asarray(region[1]))
     rng = np.random.default_rng(seed)
@@ -556,23 +556,14 @@ def estimate_lipschitz(field, region: Box, samples: int, seed: int = 0) -> float
     return LIPSCHITZ_SAFETY * worst
 
 
-def orbit_bounding_region(segment: OrbitSegment, pad=0.1) -> Box:
-    lo = segment.states.min(axis=0)
-    hi = segment.states.max(axis=0)
-    width = np.maximum(hi - lo, 1e-6)
-    return Box(lo - pad * width, hi + pad * width)
-
-
-def sample_regular_points(field, box: Box, n, seed=0, burn=0.0, tol=1e-9,
-                          min_speed=None):
+def sample_regular_points(field, box: Box, n, seed=0, burn=0.0, tol=1e-9):
     """Deterministically sample points of the box with non-tiny speed.
 
     With burn > 0 each seed point is flowed forward first (useful for landing
-    near an attractor); candidates that escape or are near-singular are
-    discarded.
+    near an attractor); candidates that escape or whose speed is at most
+    1e3 times the field's singular speed are discarded.
     """
     rng = np.random.default_rng(seed)
-    floor = field.singular_speed() if min_speed is None else min_speed
     out = []
     attempts = 0
     while len(out) < n and attempts < 200 * n:
@@ -585,7 +576,7 @@ def sample_regular_points(field, box: Box, n, seed=0, burn=0.0, tol=1e-9,
             continue
         if not field.domain.contains(x):
             continue
-        if speed(field, x) <= max(floor, 1e3 * field.singular_speed()):
+        if speed(field, x) <= 1e3 * field.singular_speed():
             continue
         out.append(x)
     if len(out) < n:

@@ -15,9 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxBoundsError, NotInBoxError, SingularityError
+from .errors import (BoxBoundsError, DomainError, NotInBoxError,
+                     SingularityError)
 from .fields import effective_lipschitz, flow, flow_states_batch, speed
 from .util import orthonormal_complement, unit
+
+
+#: Allowance for finite-difference error on each verified chart bound.
+FD_SLACK = 1e-3
 
 
 def chart_radius(L: float) -> float:
@@ -82,24 +87,23 @@ def flowbox_map(chart: FlowboxChart, v, t, tol=1e-9):
     return state
 
 
-def flowbox_invert(chart: FlowboxChart, y, tol=1e-9, max_iter=50,
-                   residual_factor=1e-10):
+def flowbox_invert(chart: FlowboxChart, y, tol=1e-9):
     """Unique chart preimage (v, t) of y, by Newton iteration.
 
     The v component is the normal-section projection of y.  Points without a
-    preimage in the box raise NotInBoxError (non-convergence, or a converged
-    preimage falling outside the box bounds).
+    preimage in the box raise NotInBoxError (residual above 1e-10 |X(x)| after
+    50 Newton steps, or a converged preimage outside the box bounds).
     """
     y = np.asarray(y, dtype=float)
     d = chart.field.dimension
     dy = y - chart.base
     c = chart.frame.T @ dy
     t = float(np.dot(dy, chart.flow_dir) / chart.speed)
-    target = residual_factor * chart.speed
+    target = 1e-10 * chart.speed
     # generous iteration bounds; the box check below is the real gate
     c = np.clip(c, -2.0 * chart.v_radius, 2.0 * chart.v_radius)
     t = float(np.clip(t, -2.0 * chart.r0, 2.0 * chart.r0))
-    for _ in range(max_iter):
+    for _ in range(50):
         point = chart.base + chart.frame @ c
         state, Phi = flow(chart.field, point, t, tol)
         r = state - y
@@ -116,7 +120,7 @@ def flowbox_invert(chart: FlowboxChart, y, tol=1e-9, max_iter=50,
         t = float(t - step[d - 1])
     else:
         raise NotInBoxError(
-            f"Newton did not converge in {max_iter} steps (residual "
+            f"Newton did not converge in 50 steps (residual "
             f"{np.linalg.norm(r):.3e} > {target:.3e})")
     v = chart.frame @ c
     try:
@@ -172,20 +176,20 @@ def _ball_grid(chart, grid):
     return vs, ts
 
 
-def verify_box_bounds(chart: FlowboxChart, grid: int, tol=1e-9,
-                      fd_slack=1e-3) -> BoxBoundsReport:
+def verify_box_bounds(chart: FlowboxChart, grid: int,
+                      tol=1e-9) -> BoxBoundsReport:
     """Finite-difference check of the chart derivative bounds on a grid.
 
     Central differences with steps 1e-5 * r0 * |X(x)| (normal directions) and
-    1e-5 * r0 (time direction). Violations are reported with their witness
-    node, never raised.
+    1e-5 * r0 (time direction); each bound is met within FD_SLACK.
+    Violations are reported with their witness node, never raised.
 
     Each t node flows the per-chart point stack once, to the frames at t - ht,
     t and t + ht, and measures all its derivatives with one stacked norm and
     SVD; image speeds stay per node (a stacked row norm moves the last bit).
     """
     if grid < 2:
-        raise ValueError("grid must be >= 2")
+        raise DomainError("grid must be >= 2")
     field = chart.field
     d = field.dimension
     vs, ts = _ball_grid(chart, grid)
@@ -238,8 +242,8 @@ def verify_box_bounds(chart: FlowboxChart, grid: int, tol=1e-9,
         max_norm = max(max_norm, float(np.fmax.reduce(norm)))
         sing = img_speed <= sing_floor
         no_sing = no_sing and not np.any(sing)
-        bad = ((dev > 0.5 + fd_slack) | (mini < 0.5 - fd_slack)
-               | (norm > 2.0 + fd_slack) | sing)
+        bad = ((dev > 0.5 + FD_SLACK) | (mini < 0.5 - FD_SLACK)
+               | (norm > 2.0 + FD_SLACK) | sing)
         for m in np.flatnonzero(bad):
             witnesses.append({"v": (chart.frame @ vs[m]).tolist(),
                               "t": float(t), "dev": float(dev[m]),
@@ -247,10 +251,10 @@ def verify_box_bounds(chart: FlowboxChart, grid: int, tol=1e-9,
                               "norm": float(norm[m]),
                               "image_speed": float(img_speed[m])})
 
-    bounds_ok = (max_dev <= 0.5 + fd_slack and min_mini >= 0.5 - fd_slack
-                 and max_norm <= 2.0 + fd_slack and no_sing)
+    bounds_ok = (max_dev <= 0.5 + FD_SLACK and min_mini >= 0.5 - FD_SLACK
+                 and max_norm <= 2.0 + FD_SLACK and no_sing)
     return BoxBoundsReport(base=chart.base, r0=chart.r0, speed=chart.speed,
                            max_dev_from_id=max_dev, min_mininorm=min_mini,
                            max_norm=max_norm, no_singularity=no_sing,
-                           bounds_ok=bounds_ok, fd_slack=fd_slack,
+                           bounds_ok=bounds_ok, fd_slack=FD_SLACK,
                            witnesses=witnesses)

@@ -367,14 +367,14 @@ def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
 
 def estimate_tangent_splitting(field, orbit: OrbitSegment, dim_e: int,
                                T_block: float, tol=1e-9,
-                               gap_threshold=1.05, warmup=0) -> TangentSplitting:
-    """Power-sweep estimate of a dominated splitting of the full tangent flow."""
+                               warmup=0) -> TangentSplitting:
+    """Power-sweep dominated splitting of the tangent flow (step gap >= 1.05)."""
     d = field.dimension
     dim_f = d - dim_e
     if dim_e < 1 or dim_f < 1:
         raise NoDominationError("tangent splitting dimensions out of range")
     mats = _step_maps(orbit, T_block, lambda x: flow(field, x, T_block, tol)[1])
-    _require_gap(mats, dim_f, gap_threshold)
+    _require_gap(mats, dim_f, 1.05)
     gen = np.random.default_rng(0x5EED)
     F = orthonormalize(gen.normal(size=(d, dim_f)))
     E = orthonormalize(gen.normal(size=(d, dim_e)))

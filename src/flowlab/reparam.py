@@ -85,7 +85,7 @@ class ShadowingInstance:
         return float(np.max(self.rescaled_distances))
 
 
-def _pair_profile(field, x, y, theta, horizon, n_samples, tol, rescale=True):
+def _pair_profile(field, x, y, theta, horizon, n_samples, tol):
     lo, hi = float(horizon[0]), float(horizon[1])
     if n_samples < 2:
         raise DomainError("need at least two samples")
@@ -94,11 +94,11 @@ def _pair_profile(field, x, y, theta, horizon, n_samples, tol, rescale=True):
     ys = flow_points(field, y, theta(grid), tol)
     sx = speeds(field, xs)
     floor = field.singular_speed()
-    if rescale and np.any(sx <= floor):
+    if np.any(sx <= floor):
         t_bad = float(grid[int(np.argmin(sx))])
         raise SingularityError(f"base orbit is singular at t={t_bad}", time=t_bad)
     dist = np.linalg.norm(xs - ys, axis=1)
-    return grid, xs, ys, sx, (dist / sx if rescale else dist)
+    return grid, xs, ys, sx, dist / sx
 
 
 def rescaled_sup_distance(field, x, y, theta, horizon, n_samples, tol=1e-9):
@@ -169,34 +169,22 @@ def _monotone_knots(t_vals, theta_vals):
     return np.asarray(knots)
 
 
-def fit_reparametrization(field, x, y, horizon=None, lattice=None, *,
-                          t_nodes=None, theta_nodes=None, rescale=True,
-                          tol=1e-9, x_states=None):
+def fit_reparametrization(field, x, y, t_nodes, theta_nodes, *,
+                          rescale=True, tol=1e-9, x_states=None):
     """Best piecewise-linear time change over a lattice of time pairs.
 
-    Either pass `horizon=(lo, hi)` and `lattice=(m, n)` for a rectangular
-    grid (theta values span the same horizon), or give `t_nodes` (m,) and
-    `theta_nodes` of shape (n,) or (m, n) explicitly; a sheared lattice
+    The lattice pairs `t_nodes` (m,) with `theta_nodes` of shape (n,) (a
+    rectangular grid) or (m, n); a sheared lattice
     `theta_nodes[i, j] = t_nodes[i] + offset_j` refines around the identity.
 
     Returns (Reparametrization, bottleneck objective).  The objective is the
     exact optimum over lattice paths; the returned theta interpolates the
     strictly monotone corners of the optimal path.
     """
-    if t_nodes is None:
-        if horizon is None or lattice is None:
-            raise DomainError("pass horizon+lattice or explicit nodes")
-        m, n = int(lattice[0]), int(lattice[1])
-        if m < 2 or n < 2:
-            raise DomainError("lattice dimensions must be >= 2")
-        t_nodes = np.linspace(horizon[0], horizon[1], m)
-        theta_nodes = np.linspace(horizon[0], horizon[1], n)
     t_nodes = np.asarray(t_nodes, dtype=float)
     theta_nodes = np.asarray(theta_nodes, dtype=float)
-    if theta_nodes.ndim == 1:
-        theta_mat = np.broadcast_to(theta_nodes, (t_nodes.size, theta_nodes.size))
-    else:
-        theta_mat = theta_nodes
+    theta_mat = np.broadcast_to(theta_nodes,
+                                (t_nodes.size, theta_nodes.shape[-1]))
     m, n = theta_mat.shape
 
     xs = flow_points(field, x, t_nodes, tol) if x_states is None else x_states
@@ -284,29 +272,18 @@ class DriftReport:
         }
 
 
-def drift_bounds_check(field, x, y, theta, T, epsilon, L=None, c=None,
-                       n_grid=64, tol=1e-9, seed=0) -> DriftReport:
+def drift_bounds_check(field, x, y, theta, T, epsilon, L, c,
+                       tol=1e-9) -> DriftReport:
     """Verify the near-translation property of theta under delta-shadowing.
 
-    Computes the admissible level delta(epsilon), checks the measured
-    rescaled sup over [0, T] against it (HypothesisError when exceeded), and
+    Checks the rescaled sup over 64 times of [0, T] against the admissible
+    level delta(epsilon) of L and c (HypothesisError when exceeded), and
     verifies |theta(T_i) - theta(0) - T_i| <= eps * T_i at the subdivision
     points T_i (lengths in [r0/2, r0)) together with the surjectivity proxy
     theta(T) - theta(0) >= (1 - eps) T.
     """
-    x = np.asarray(x, dtype=float)
-    if L is None or c is None:
-        seg_states = flow_points(field, x, np.linspace(0.0, T, 16), tol)
-        lo = seg_states.min(axis=0)
-        hi = seg_states.max(axis=0)
-        pad = 0.1 * np.maximum(hi - lo, 1e-3)
-        region = Box(lo - pad, hi + pad)
-        if L is None:
-            L = estimate_lipschitz(field, region, 256, seed=seed)
-        if c is None:
-            c = estimate_speed_ratio_constant(field, region, seed=seed)
     delta = admissible_delta(epsilon, L, c)
-    sup = rescaled_sup_distance(field, x, y, theta, (0.0, T), n_grid, tol)
+    sup = rescaled_sup_distance(field, x, y, theta, (0.0, T), 64, tol)
     if sup > delta:
         raise HypothesisError(
             f"measured rescaled sup {sup:.3e} exceeds delta(eps)={delta:.3e}",
@@ -325,9 +302,9 @@ def drift_bounds_check(field, x, y, theta, T, epsilon, L=None, c=None,
                        bound_ok=bool(bound_ok), surjectivity_ok=bool(surj_ok))
 
 
-def identity_offsets(delta, n=17, width=2.0):
-    """Offset column for a sheared fitting lattice around the identity."""
-    return np.linspace(-width * delta, width * delta, n)
+def identity_offsets(delta, n=17):
+    """Sheared-lattice offset column spanning [-2 delta, 2 delta]."""
+    return np.linspace(-2.0 * delta, 2.0 * delta, n)
 
 
 @dataclass
@@ -341,18 +318,16 @@ class DriftTrial:
 
 
 def drift_trials(field, region: Box, epsilon, T, n_trials, seed=0,
-                 n_t_nodes=9, n_offsets=17, tol=1e-9, L=None, c=None):
+                 n_t_nodes=9, n_offsets=17, tol=1e-9, *, L):
     """Randomized shadowing pairs at the delta(eps) level with fitted theta.
 
-    y starts as a normal perturbation of x of rescaled size delta/2 and is
-    halved until the fitted theta certifies the shadowing hypothesis; the
-    drift report of every trial is returned.
+    delta(eps) uses L and the speed ratio constant c estimated on the
+    region.  y starts as a normal perturbation of x of rescaled size delta/2
+    and is halved until the fitted theta certifies the shadowing hypothesis;
+    the drift report of every trial is returned.
     """
     rng = np.random.default_rng(seed)
-    if L is None:
-        L = estimate_lipschitz(field, region, 256, seed=seed)
-    if c is None:
-        c = estimate_speed_ratio_constant(field, region, seed=seed)
+    c = estimate_speed_ratio_constant(field, region, seed=seed)
     delta = admissible_delta(epsilon, L, c)
     offsets = identity_offsets(delta, n=n_offsets)
     m = max(n_t_nodes, 2)
@@ -382,7 +357,7 @@ def drift_trials(field, region: Box, epsilon, T, n_trials, seed=0,
                     field, x, y, t_nodes=t_nodes,
                     theta_nodes=t_nodes[:, None] + offsets[None, :], tol=tol)
                 rep = drift_bounds_check(field, x, y, theta, T, epsilon,
-                                         L=L, c=c, tol=tol)
+                                         L, c, tol=tol)
                 result = (rho, rep)
                 break
             except HypothesisError:
@@ -504,16 +479,17 @@ class CrossingSequenceResult:
         }
 
 
-def crossing_sequence(field, x, y, theta, T, k_range, L, delta=None,
-                      tol=1e-9, enforce_radii=True,
-                      section_tol=1e-6) -> CrossingSequenceResult:
+def crossing_sequence(field, x, y, theta, T, k_range, L,
+                      tol=1e-9) -> CrossingSequenceResult:
     """Times T_k at which the shadowing orbit cuts the normal sections.
 
-    For each k, the point phi_theta(kT)(y) is chart-inverted at phi_kT(x)
-    into (u_k, t_k); T_k solves theta(T_k) = theta(kT) - t_k on the
-    piecewise-linear theta.  The result records the bounds
-    |u_k| <= 3 delta |X(phi_kT(x))|, |t_k| <= 3 delta and the
-    section-to-section identity P_{phi_kT(x),T}(u_k) = u_{k+1}.
+    delta, the pair's rescaled sup over 64 times of [min kT, max kT], must
+    lie below r0/12 and r1(T)/3 (HypothesisError otherwise).  For each k,
+    phi_theta(kT)(y) is chart-inverted at phi_kT(x) into (u_k, t_k); T_k
+    solves theta(T_k) = theta(kT) - t_k on the piecewise-linear theta.  The
+    result records the bounds |u_k| <= 3 delta |X(phi_kT(x))|,
+    |t_k| <= 3 delta and the section-to-section identity
+    P_{phi_kT(x),T}(u_k) = u_{k+1} (relative defect at most 1e-6).
     """
     ks = sorted(int(k) for k in k_range)
     x = np.asarray(x, dtype=float)
@@ -521,18 +497,15 @@ def crossing_sequence(field, x, y, theta, T, k_range, L, delta=None,
     r0 = chart_radius(L)
     r1 = section_radius(T, L)
     lo_t, hi_t = min(ks) * T, max(ks) * T
-    if delta is None:
-        delta = rescaled_sup_distance(field, x, y, theta,
-                                      (lo_t, hi_t), 64, tol)
-    if enforce_radii:
-        if not (delta < r0 / 12.0):
-            raise HypothesisError(
-                f"delta={delta:.3e} is not below r0/12={r0/12:.3e}",
-                measured_sup=delta)
-        if not (delta < r1 / 3.0):
-            raise HypothesisError(
-                f"delta={delta:.3e} is not below r1(T)/3={r1/3:.3e}",
-                measured_sup=delta)
+    delta = rescaled_sup_distance(field, x, y, theta, (lo_t, hi_t), 64, tol)
+    if not (delta < r0 / 12.0):
+        raise HypothesisError(
+            f"delta={delta:.3e} is not below r0/12={r0/12:.3e}",
+            measured_sup=delta)
+    if not (delta < r1 / 3.0):
+        raise HypothesisError(
+            f"delta={delta:.3e} is not below r1(T)/3={r1/3:.3e}",
+            measured_sup=delta)
 
     nodes = flow_points(field, x, [k * T for k in ks], tol)
     y_pts = flow_points(field, y, [theta(k * T) for k in ks], tol)
@@ -572,7 +545,7 @@ def crossing_sequence(field, x, y, theta, T, k_range, L, delta=None,
         s_next = speed(field, it_next.node)
         defect = np.linalg.norm(value - it_next.u) / s_next
         max_defect = max(max_defect, float(defect))
-        if defect > section_tol:
+        if defect > 1e-6:
             ok_sections = False
     return CrossingSequenceResult(items=items, delta=float(delta),
                                   bounds_ok=bool(bounds_ok),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,8 +132,9 @@ def test_fit_shifted_orbit_on_lattice(rotation):
 def test_fit_rectangular_matches_oracle(rotation):
     x = np.array([1.0, 0.0])
     y = np.array([1.1, 0.0])
-    theta, val = fit_reparametrization(rotation, x, y, horizon=(0.0, 2.0),
-                                       lattice=(6, 6), tol=1e-10)
+    theta, val = fit_reparametrization(rotation, x, y,
+                                       np.linspace(0.0, 2.0, 6),
+                                       np.linspace(0.0, 2.0, 6), tol=1e-10)
     # rebuild the cost matrix and compare against enumeration
     from flowlab.fields import flow_points, speed
     tn = np.linspace(0.0, 2.0, 6)
@@ -145,8 +148,9 @@ def test_fit_rectangular_matches_oracle(rotation):
 def test_fit_degenerate_2x2(rotation):
     x = np.array([1.0, 0.0])
     y = np.array([1.05, 0.0])
-    theta, val = fit_reparametrization(rotation, x, y, horizon=(0.0, 0.5),
-                                       lattice=(2, 2), tol=1e-10)
+    theta, val = fit_reparametrization(rotation, x, y,
+                                       np.linspace(0.0, 0.5, 2),
+                                       np.linspace(0.0, 0.5, 2), tol=1e-10)
     from flowlab.fields import flow_points, speed
     tn = np.array([0.0, 0.5])
     xs = flow_points(rotation, x, tn, 1e-10)
@@ -160,7 +164,8 @@ def test_fit_degenerate_2x2(rotation):
 def test_fit_no_path_when_base_singular(saddle2d):
     with pytest.raises(NoPathError):
         fit_reparametrization(saddle2d, np.zeros(2), np.array([0.1, 0.0]),
-                              horizon=(0.0, 1.0), lattice=(4, 4))
+                              np.linspace(0.0, 1.0, 4),
+                              np.linspace(0.0, 1.0, 4))
 
 
 # --------------------------------------------------------- admissible delta
@@ -293,10 +298,13 @@ def test_crossing_linear_closed_form(saddle2d):
 
 def test_crossing_radius_preconditions(saddle2d):
     x = np.array([1.0, 0.0])
-    y = x + np.array([0.0, 0.05])  # delta ~ 0.05 > r0/12
-    with pytest.raises(HypothesisError):
-        crossing_sequence(saddle2d, x, y, Reparametrization.identity(),
-                          1.0, range(0, 2), L=1.05)
+    # (offset, T, violated bound): delta ~ 0.05 > r0/12; and
+    # r1(3)/3 ~ 1.9e-5 < delta ~ 1e-3 < r0/12 ~ 7.9e-3
+    for offset, T, bound in ((0.05, 1.0, "r0/12"), (1e-3, 3.0, "r1(T)/3")):
+        y = x + np.array([0.0, offset])
+        with pytest.raises(HypothesisError, match=re.escape(bound)):
+            crossing_sequence(saddle2d, x, y, Reparametrization.identity(),
+                              T, range(0, 2), L=1.05)
 
 
 def test_trials_csv_columns(tmp_path, rotation):

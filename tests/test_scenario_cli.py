@@ -73,6 +73,21 @@ def test_unknown_field_kind_exits_2(tmp_path, capsys):
         (lorenz + "command split\n  start 1 1 1\n  cocycle-u flowspeed\n",
          "cocycle-u"),
         (lorenz + "command split\n  start 1 1\n", "start needs 3 numbers"),
+        ("field rotation\n\ncommand flowbox\n  bases ten\n",
+         "bases needs numbers"),
+        ("field rotation\n\ncommand expansive\n  points 1 0\n  grid 3 4\n",
+         "grid needs 1 number, got 2"),
+        ("field rotation\n\ncommand expansive\n  points 1 0 0.5\n",
+         "points needs a multiple of 2 numbers"),
+        ("field rotation\n\ncommand expansive\n  points 1 0\n"
+         "  horizon a 3\n", "horizon needs numbers"),
+        ("field rotation\n\ncommand flowbox\n  bases 2.5\n",
+         "bases needs integers"),
+        ("field rotation\n\ncommand constants\n  t nan\n", "t needs numbers"),
+        ("field rotation\n\ncommand constants\n  samples 0\n",
+         "samples must be >= 1"),
+        ("field rotation\n\ncommand flowbox\n  bases 1\n  grid 1\n"
+         "  sample-box 0.5 1.5 -0.5 0.5\n", "grid must be >= 2"),
     ]
     p = tmp_path / "bad.scn"
     for text, message in cases:
