@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""List flowlab parameters that no caller varies.
+"""List flowlab parameters and scenario keys that no caller varies.
 
 An AST pass collects every function and method defined in `src/flowlab`
 and every call in `src/`, `scripts/`, `perfbench/` and `tests/`, matched to
 its callee by name (`f(...)` and `obj.f(...)` both call every `f`).  It
-prints two lists:
+prints three lists:
 
-    idle default     a defaulted parameter that no call site sets
-    filled default   a `None` default that every call site sets
+    idle default        a defaulted parameter that no call site sets
+    filled default      a `None` default that every call site sets
+    idle scenario key   a key of `scenario._COMMAND_KEYS` that no `.scn`
+                        file under `scripts/` or `perfbench/` and no
+                        string constant in `tests/` sets
 
 `tol` is left out: it is the accuracy contract of the whole API.  A call
 that passes a parameter sets it whatever the value (a variable that may
 hold `None` included), a call with `*args` or `**kwargs` counts as setting
 every parameter, and a
 function that is never called by name (a handler in a table, a method
-reached only through an operator) is not listed.  Run from anywhere:
+reached only through an operator) is not listed.  A scenario text sets
+a key of command X with an indented line `key ...` under a `command X`
+line.  Run from anywhere:
 
     python3 scripts/idle_options.py
 """
@@ -26,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "scripts", "perfbench", "tests")
+SCENARIO_DIRS = ("scripts", "perfbench")
 EXCLUDED = {"tol"}
 
 
@@ -107,9 +113,57 @@ def scan(root=ROOT):
     return idle, filled
 
 
+def _command_keys(root):
+    """`scenario._COMMAND_KEYS`, read from the source without importing it."""
+    path = root / "src" / "flowlab" / "scenario.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_COMMAND_KEYS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no _COMMAND_KEYS in {path}")
+
+
+def _scenario_texts(root):
+    """The shipped `.scn` files, and every string constant of the tests."""
+    for d in SCENARIO_DIRS:
+        for path in sorted((root / d).rglob("*.scn")):
+            yield path.read_text()
+    for path in sorted((root / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+
+def _set_keys(texts):
+    """(command, key) per indented line under a `command X` line."""
+    keys = set()
+    for text in texts:
+        command = None
+        for line in text.splitlines():
+            line = line.split("#", 1)[0].rstrip()
+            if not line.strip():
+                continue
+            words = line.split()
+            if not line[0].isspace():
+                command = (words[1] if words[0] == "command"
+                           and len(words) > 1 else None)
+            elif command is not None:
+                keys.add((command, words[0]))
+    return keys
+
+
+def idle_keys(root=ROOT):
+    set_keys = _set_keys(_scenario_texts(root))
+    return [f"{command} {key}"
+            for command, keys in sorted(_command_keys(root).items())
+            for key in sorted(keys) if (command, key) not in set_keys]
+
+
 def main():
     idle, filled = scan()
-    for label, items in (("idle default", idle), ("filled default", filled)):
+    for label, items in (("idle default", idle), ("filled default", filled),
+                         ("idle scenario key", idle_keys())):
         print(f"{label}: {len(items)}")
         for item in items:
             print(f"  {item}")

@@ -35,9 +35,14 @@ from .scenario import Scenario, load_scenario
 from .util import write_csv, write_json
 
 
+_COUNT_KEYS = ("bases", "pairs", "samples", "systems", "starts", "blocks",
+               "budget", "lattice")
+
+
 def _numbers(sc, key, n=None, default=(), kind=float):
     """The values of a scenario key as `kind`; a ScenarioError unless there
-    are n of them (any count if n is None), each finite and of that kind."""
+    are n of them (any count if n is None), each finite and of that kind,
+    and each at least 1 for a count key."""
     vals = sc.options.get(key, list(default))
     vals = vals if isinstance(vals, list) else [vals]
     if n is not None and len(vals) != n:
@@ -49,6 +54,8 @@ def _numbers(sc, key, n=None, default=(), kind=float):
             raise ScenarioError(f"{key} needs numbers, got {v!r}")
         if kind is int and not float(v).is_integer():
             raise ScenarioError(f"{key} needs integers, got {v!r}")
+        if key in _COUNT_KEYS and v < 1:
+            raise ScenarioError(f"{key} must be >= 1, got {v!r}")
     return [kind(v) for v in vals]
 
 
@@ -75,11 +82,8 @@ def _run_flowbox(sc, field, out):
     box = _sample_box(sc, field)
     n_bases = _number(sc, "bases", 10, int)
     grid = _number(sc, "grid", 5, int)
-    burn = _number(sc, "burn", 0.0)
-    L = estimate_lipschitz(field, box, _number(sc, "lipschitz-samples", 256, int),
-                           seed=sc.seed)
-    pts = sample_regular_points(field, box, n_bases, seed=sc.seed, burn=burn,
-                                tol=sc.tol)
+    L = estimate_lipschitz(field, box, 256, seed=sc.seed)
+    pts = sample_regular_points(field, box, n_bases, seed=sc.seed, tol=sc.tol)
     findings = 0
     per_base = []
     rows = []
@@ -107,26 +111,20 @@ def _run_flowbox(sc, field, out):
 def _run_poincare(sc, field, out):
     box = _sample_box(sc, field)
     n_bases = _number(sc, "bases", 5, int)
-    burn = _number(sc, "burn", 0.0)
     T = _number(sc, "t", 0.5)
-    id_tol = _number(sc, "identity-tol", 1e-3)
-    fd_rel = _number(sc, "fd-step-rel", 1e-4)
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
-    pts = sample_regular_points(field, box, n_bases, seed=sc.seed, burn=burn,
-                                tol=sc.tol)
+    pts = sample_regular_points(field, box, n_bases, seed=sc.seed, tol=sc.tol)
     findings = 0
     entries = []
     rows = []
     for p in pts:
-        sx = float(np.linalg.norm(field.func(p)))
         sm = sectional_poincare(field, p, T, np.zeros(field.dimension), L,
-                                tol=sc.tol, fd_step=fd_rel * sx,
-                                max_radius=np.inf)
+                                tol=sc.tol, max_radius=np.inf)
         psi = linear_poincare(field, p, T, tol=sc.tol)
         M = psi.in_frames(sm.source, sm.target)
         err = float(np.linalg.norm(sm.derivative - M, 2)
                     / max(np.linalg.norm(M, 2), 1e-300))
-        ok = err <= id_tol
+        ok = err <= 1e-3
         findings += 0 if ok else 1
         entries.append({"base": p.tolist(), "rel_error": err, "pass": ok})
         rows.append([*p, err, ok])
@@ -135,7 +133,7 @@ def _run_poincare(sc, field, out):
     write_csv(out / "series-poincare.csv",
               [f"x_{i+1}" for i in range(field.dimension)]
               + ["rel_error", "pass"], rows)
-    return {"command": "poincare", "T": T, "L": L, "identity_tol": id_tol,
+    return {"command": "poincare", "T": T, "L": L, "identity_tol": 1e-3,
             "entries": entries}, findings
 
 
@@ -147,8 +145,6 @@ def _run_shadow(sc, field, out):
     r0 = chart_radius(L)
     T = _number(sc, "t-factor", 1.0) * r0
     trials = drift_trials(field, box, epsilon, T, pairs, seed=sc.seed,
-                          n_t_nodes=_number(sc, "t-nodes", 9, int),
-                          n_offsets=_number(sc, "offsets", 17, int),
                           tol=sc.tol, L=L)
     trials_to_csv(trials, out / "series-shadow.csv")
     bad = [t for t in trials if not t.bound_ok]
@@ -178,9 +174,8 @@ def _run_split(sc, field, out):
     if burn > 0:
         x0 = flow_points(field, start, [burn], sc.tol)[0]
     orbit = sample_orbit(field, x0, np.arange(blocks + 1) * t_block, tol=sc.tol)
-    splitting = estimate_normal_splitting(
-        field, orbit, dim_s, t_block, tol=sc.tol, warmup=warmup,
-        gap_threshold=_number(sc, "gap-threshold", 1.05))
+    splitting = estimate_normal_splitting(field, orbit, dim_s, t_block,
+                                          tol=sc.tol, warmup=warmup)
     rep = check_domination(field, splitting, (trivial_cocycle(), h_u), C, lam,
                            t_grid, tol=sc.tol)
     rep.to_csv(out / "series-split.csv")
@@ -196,19 +191,15 @@ def _run_fixedpoint(sc, field, out):
     n_starts = _number(sc, "starts", 5, int)
     blocks = _number(sc, "blocks", 10, int)
     kappa_max = _number(sc, "kappa-max", 0.9)
-    dim_s = _number(sc, "dim-s", 1, int)
-    dim_u = _number(sc, "dim-u", 1, int)
-    solve_tol = _number(sc, "solve-tol", 5e-11)
     rng = np.random.default_rng(sc.seed)
     findings = 0
     rows = []
     first_trace = None
     for i in range(n_sys):
         kappa_t = float(rng.uniform(0.05, kappa_max))
-        system = make_random_system(2 * blocks + 1, dim_s, dim_u, kappa_t,
-                                    seed=int(rng.integers(2**31)),
-                                    i_start=-blocks,
-                                    skew=float(rng.uniform(0.0, 0.8)))
+        system = make_random_system(
+            2 * blocks + 1, 1, 1, kappa_t, seed=int(rng.integers(2**31)),
+            i_start=-blocks, skew=float(rng.uniform(0.0, 0.8)))
         kappa = contraction_bound(system)
         finals = []
         for s in range(n_starts):
@@ -216,7 +207,7 @@ def _run_fixedpoint(sc, field, out):
                     for j in range(system.n_blocks)]
             nrm = system.sup_norm(init)
             init = [v / nrm for v in init]
-            res = solve_fixed_point(system, init, tol=solve_tol)
+            res = solve_fixed_point(system, init, tol=5e-11)
             finals.append(res)
             if first_trace is None:
                 first_trace = res
@@ -235,7 +226,7 @@ def _run_fixedpoint(sc, field, out):
                "pairwise_agreement", "pass"], rows)
     if first_trace is not None:
         first_trace.trace_to_csv(out / "series-fixedpoint-trace.csv")
-    trunc = _truncation_convergence(blocks, dim_s, dim_u, sc.seed)
+    trunc = _truncation_convergence(blocks, sc.seed)
     _print(f"fixedpoint systems={n_sys} starts={n_starts} findings={findings} "
            f"truncation-diff={trunc['sup_diff']:.2e} "
            f"{'PASS' if findings == 0 else 'FAIL'}")
@@ -246,7 +237,7 @@ def _run_fixedpoint(sc, field, out):
                                "agreement", "pass"], r)) for r in rows]}, findings
 
 
-def _truncation_convergence(m, dim_s, dim_u, seed):
+def _truncation_convergence(m, seed):
     """Sup difference on the common window of (I-L)^{-1} w at widths m, 2m.
 
     With the dichotomic boundary rows the inverse is a one-sided chain sum
@@ -254,7 +245,7 @@ def _truncation_convergence(m, dim_s, dim_u, seed):
     difference is exactly zero (reported as evidence, not assumed).
     """
     rng = np.random.default_rng(seed + 1)
-    wide = make_random_system(4 * m + 1, dim_s, dim_u, 0.5, seed=seed + 1,
+    wide = make_random_system(4 * m + 1, 1, 1, 0.5, seed=seed + 1,
                               i_start=-2 * m)
     # the wide system's linear data on the common window
     narrow = BlockSequenceSystem(-m, wide.bases_s[m:3 * m + 1],
@@ -295,8 +286,7 @@ def _scan_config(sc, field):
         deltas=tuple(_numbers(sc, "deltas", default=(0.05,))),
         lattice=lattice,
         budget=_number(sc, "budget", 200, int), seed=sc.seed,
-        grid_n=_number(sc, "grid", 64, int),
-        arc_tol=_number(sc, "arc-tol", 1e-6), tol=sc.tol,
+        grid_n=_number(sc, "grid", 64, int), tol=sc.tol,
         lipschitz=(_numbers(sc, "lipschitz", 1)[0]
                    if "lipschitz" in sc.options else None))
 

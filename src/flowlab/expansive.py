@@ -27,6 +27,7 @@ from .reparam import (Reparametrization, admissible_delta,
 from .util import read_json, write_json
 
 MODES = ("rescaled", "komuro", "bowen_walters")
+ARC_TOL = 1e-6  # on an orbit arc: normal offset <= ARC_TOL * |X|
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class ScanConfig:
     budget: int = 200
     seed: int = 0
     grid_n: int = 64
-    arc_tol: float = 1e-6
     tol: float = 1e-9
     lipschitz: float = None
 
@@ -287,7 +287,7 @@ def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
                     if sup > delta:
                         break  # candidates are sorted; none shadows
                     fails = _conclusion_failures(field, grid, xs, ys, eps, L,
-                                                 config.arc_tol)
+                                                 ARC_TOL)
                     if _violated(mode, grid, fails):
                         verdicts[key] = "violation"
                         witnesses.append(Witness(
@@ -296,7 +296,7 @@ def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
                             theta_knots=theta.knots.tolist(),
                             horizon=(float(config.horizon[0]),
                                      float(config.horizon[1])),
-                            grid_n=config.grid_n, arc_tol=config.arc_tol,
+                            grid_n=config.grid_n, arc_tol=ARC_TOL,
                             lipschitz=float(L), tol=config.tol,
                             measured_sup=float(sup),
                             failing_times=fails,

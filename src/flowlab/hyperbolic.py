@@ -285,9 +285,9 @@ def _aligned_matrices(maps):
     return mats, frames
 
 
-def _require_gap(mats, split_at, threshold):
+def _require_gap(mats, split_at):
     """Raise unless the ratio of adjacent per-step growth factors around the
-    split index reaches the threshold."""
+    split index reaches 1.05."""
     d = mats[0].shape[0]
     Q = np.eye(d)
     logs = np.zeros(d)
@@ -298,9 +298,8 @@ def _require_gap(mats, split_at, threshold):
         logs += np.log(np.maximum(diag, 1e-300))
     rates = np.sort(logs / len(mats))[::-1]
     gap = float(np.exp(rates[split_at - 1] - rates[split_at]))
-    if gap < threshold:
-        raise NoDominationError(
-            f"per-step singular value gap {gap:.4f} < {threshold}")
+    if gap < 1.05:
+        raise NoDominationError(f"per-step singular value gap {gap:.4f} < 1.05")
 
 
 def _power_sweeps(orbit, mats, fast, slow, warmup):
@@ -325,14 +324,14 @@ def _power_sweeps(orbit, mats, fast, slow, warmup):
 def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
                               T_block: float, tol=1e-9,
                               seed_splitting: Optional[NormalSplitting] = None,
-                              gap_threshold=1.05, warmup=0) -> NormalSplitting:
+                              warmup=0) -> NormalSplitting:
     """Power-sweep estimate of the dominated splitting along an orbit.
 
     A forward sweep of the step maps extracts the fast (unstable) subspace
     per node, a backward sweep with the inverse maps extracts the slow
     (stable) one.  Nodes near the sweep starts carry warm-up error; pass
     `warmup` to drop that many nodes from both ends of the result.  Raises
-    NoDominationError when no per-step singular-value gap >= 1.05 shows up.
+    NoDominationError when the per-step singular-value gap is below 1.05.
     """
     d = field.dimension
     nd = d - 1
@@ -343,7 +342,7 @@ def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
     maps = _step_maps(orbit, T_block,
                       lambda x: linear_poincare(field, x, T_block, tol))
     mats, frames = _aligned_matrices(maps)
-    _require_gap(mats, dim_u, gap_threshold)
+    _require_gap(mats, dim_u)
 
     n = orbit.n_nodes
     if seed_splitting is not None:
@@ -374,7 +373,7 @@ def estimate_tangent_splitting(field, orbit: OrbitSegment, dim_e: int,
     if dim_e < 1 or dim_f < 1:
         raise NoDominationError("tangent splitting dimensions out of range")
     mats = _step_maps(orbit, T_block, lambda x: flow(field, x, T_block, tol)[1])
-    _require_gap(mats, dim_f, 1.05)
+    _require_gap(mats, dim_f)
     gen = np.random.default_rng(0x5EED)
     F = orthonormalize(gen.normal(size=(d, dim_f)))
     E = orthonormalize(gen.normal(size=(d, dim_e)))

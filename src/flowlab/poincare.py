@@ -217,17 +217,17 @@ def sectional_value(field, x, T, w, chart1, tol=1e-9):
     return _land(field, x, T, w, chart1, tol)
 
 
-def sectional_poincare(field, x, T, v, L, tol=1e-9, fd_step=None,
+def sectional_poincare(field, x, T, v, L, tol=1e-9,
                        max_radius=None) -> SectionalMap:
     """Holonomy from the normal section at x to the one at the time-T image.
 
     `v` must be an ambient normal vector at x with |v| within the admissible
     radius (`section_radius(T, L) * |X(x)|` by default; pass `max_radius` to
     work beyond the guaranteed radius).  The derivative is computed by
-    central differences over the chart frame with step `fd_step`
-    (default 1e-4 * |X(x)|).  The value and the 2(d-1) difference landings
-    share one target chart; callers that need only the value use
-    `target_chart` once per base point and `sectional_value` per vector.
+    central differences over the chart frame with step 1e-4 * |X(x)|.  The
+    value and the 2(d-1) difference landings share one target chart;
+    callers that need only the value use `target_chart` once per base point
+    and `sectional_value` per vector.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -246,7 +246,7 @@ def sectional_poincare(field, x, T, v, L, tol=1e-9, fd_step=None,
     src = frame_at(field, x)
     tgt = NormalFrame(point=chart1.base, direction=chart1.flow_dir,
                       basis=chart1.frame)
-    h = fd_step if fd_step is not None else 1e-4 * sx
+    h = 1e-4 * sx
     d = field.dimension
     D = np.empty((d - 1, d - 1))
     for k in range(d - 1):

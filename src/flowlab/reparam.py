@@ -302,9 +302,9 @@ def drift_bounds_check(field, x, y, theta, T, epsilon, L, c,
                        bound_ok=bool(bound_ok), surjectivity_ok=bool(surj_ok))
 
 
-def identity_offsets(delta, n=17):
-    """Sheared-lattice offset column spanning [-2 delta, 2 delta]."""
-    return np.linspace(-2.0 * delta, 2.0 * delta, n)
+def identity_offsets(delta):
+    """Sheared-lattice offset column: 17 offsets in [-2 delta, 2 delta]."""
+    return np.linspace(-2.0 * delta, 2.0 * delta, 17)
 
 
 @dataclass
@@ -318,20 +318,19 @@ class DriftTrial:
 
 
 def drift_trials(field, region: Box, epsilon, T, n_trials, seed=0,
-                 n_t_nodes=9, n_offsets=17, tol=1e-9, *, L):
+                 tol=1e-9, *, L):
     """Randomized shadowing pairs at the delta(eps) level with fitted theta.
 
     delta(eps) uses L and the speed ratio constant c estimated on the
     region.  y starts as a normal perturbation of x of rescaled size delta/2
-    and is halved until the fitted theta certifies the shadowing hypothesis;
-    the drift report of every trial is returned.
+    and is halved until theta, fitted on 9 time nodes x 17 offsets, certifies
+    the shadowing hypothesis; the drift report of every trial is returned.
     """
     rng = np.random.default_rng(seed)
     c = estimate_speed_ratio_constant(field, region, seed=seed)
     delta = admissible_delta(epsilon, L, c)
-    offsets = identity_offsets(delta, n=n_offsets)
-    m = max(n_t_nodes, 2)
-    t_nodes = np.linspace(0.0, T, m)
+    offsets = identity_offsets(delta)
+    t_nodes = np.linspace(0.0, T, 9)
     trials = []
     made = 0
     attempts = 0

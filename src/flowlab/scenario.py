@@ -20,18 +20,15 @@ _COMMANDS = ("flowbox", "poincare", "shadow", "split", "fixedpoint",
 
 # known keys per command (validation reports unknown keys with their line)
 _COMMAND_KEYS = {
-    "flowbox": {"bases", "grid", "sample-box", "burn", "lipschitz-samples"},
-    "poincare": {"bases", "sample-box", "burn", "t", "identity-tol",
-                 "fd-step-rel"},
-    "shadow": {"pairs", "epsilon", "t-factor", "sample-box", "t-nodes",
-               "offsets"},
+    "flowbox": {"bases", "grid", "sample-box"},
+    "poincare": {"bases", "sample-box", "t"},
+    "shadow": {"pairs", "epsilon", "t-factor", "sample-box"},
     "split": {"start", "burn", "t-block", "blocks", "dim-s", "warmup",
-              "c", "lambda", "t-grid", "cocycle-u", "gap-threshold"},
-    "fixedpoint": {"systems", "starts", "blocks", "kappa-max", "dim-s",
-                   "dim-u", "solve-tol"},
+              "c", "lambda", "t-grid", "cocycle-u"},
+    "fixedpoint": {"systems", "starts", "blocks", "kappa-max"},
     "expansive": {"mode", "samples", "points", "sample-box", "burn",
                   "horizon", "epsilons", "deltas", "lattice", "grid",
-                  "budget", "arc-tol", "lipschitz"},
+                  "budget", "lipschitz"},
     "constants": {"t", "epsilons", "sample-box", "samples"},
 }
 

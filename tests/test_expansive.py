@@ -76,7 +76,7 @@ def test_shift_pairs_never_violate(rotation):
                 if sup > 0.1:
                     continue
                 fails = E._conclusion_failures(rotation, grid, x_grid, ys,
-                                               eps, 1.05, cfg.arc_tol)
+                                               eps, 1.05, E.ARC_TOL)
                 if mode == "komuro":
                     assert len(fails) < grid.size
                 elif mode == "bowen_walters":

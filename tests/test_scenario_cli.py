@@ -49,6 +49,18 @@ def test_parse_reports_line_numbers():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario("field rotation\n\ncommand flowbox\n  nope 3\n")
     assert exc.value.line == 4
+    # keys of fixed tolerances and sample sizes are unknown keys too
+    removed = [("poincare", "identity-tol"), ("poincare", "fd-step-rel"),
+               ("poincare", "burn"), ("expansive", "arc-tol"),
+               ("split", "gap-threshold"), ("fixedpoint", "solve-tol"),
+               ("fixedpoint", "dim-s"), ("fixedpoint", "dim-u"),
+               ("flowbox", "lipschitz-samples"), ("flowbox", "burn"),
+               ("shadow", "t-nodes"), ("shadow", "offsets")]
+    for command, key in removed:
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(f"field rotation\n\ncommand {command}\n"
+                           f"  {key} 3\n")
+        assert exc.value.line == 4, key
 
 
 def test_parse_unknown_command():
@@ -64,6 +76,7 @@ def test_parse_requires_field():
 def test_unknown_field_kind_exits_2(tmp_path, capsys):
     # and the other malformed values that once crashed or passed silently
     lorenz = "field lorenz\n  params 10 28 2.6666666666666665\n\n"
+    box = "  sample-box 0.5 1.5 -0.5 0.5\n"
     cases = [
         ("field warpdrive\n\ncommand flowbox\n  bases 1\n", "registry"),
         ("field rotation\n\ncommand expansive\n  points 1 0\n"
@@ -88,6 +101,18 @@ def test_unknown_field_kind_exits_2(tmp_path, capsys):
          "samples must be >= 1"),
         ("field rotation\n\ncommand flowbox\n  bases 1\n  grid 1\n"
          "  sample-box 0.5 1.5 -0.5 0.5\n", "grid must be >= 2"),
+        ("field rotation\n\ncommand poincare\n  bases 0\n" + box,
+         "bases must be >= 1"),
+        ("field rotation\n\ncommand shadow\n  pairs 0\n" + box,
+         "pairs must be >= 1"),
+        ("field rotation\n\ncommand expansive\n  samples 0\n" + box,
+         "samples must be >= 1"),
+        ("field rotation\n\ncommand fixedpoint\n  systems 0\n",
+         "systems must be >= 1"),
+        ("field rotation\n\ncommand flowbox\n  bases 0\n" + box,
+         "bases must be >= 1"),
+        ("field rotation\n\ncommand fixedpoint\n  systems 1\n"
+         "  starts 0\n", "starts must be >= 1"),
     ]
     p = tmp_path / "bad.scn"
     for text, message in cases:
@@ -203,3 +228,25 @@ tol 1e-10
     assert run_scenario(str(p), out=str(tmp_path / "out")) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["violations"] == 0
+
+
+def test_poincare_scenario(tmp_path):
+    p = tmp_path / "po.scn"
+    p.write_text("""
+field linear
+  matrix 1 0 0 -1
+
+command poincare
+  bases 3
+  t 0.5
+  sample-box 0.4 2.0 -1.5 1.5
+
+seed 4
+tol 1e-10
+""")
+    assert run_scenario(str(p), out=str(tmp_path / "out")) == 0
+    raw = (tmp_path / "out" / "report.json").read_text()
+    assert '"identity_tol": 0.001' in raw
+    rep = json.loads(raw)
+    assert len(rep["entries"]) == 3
+    assert all(e["pass"] for e in rep["entries"])
