@@ -115,7 +115,7 @@ class ScanReport:
         }
 
 
-def _orbit_displacement(field, chart, point, eps, arc_tol):
+def _orbit_displacement(chart, point, eps, arc_tol):
     """Is the point on the orbit arc phi_[-eps, eps] of the chart base?"""
     try:
         v, s = flowbox_invert(chart, point)
@@ -174,7 +174,7 @@ def _conclusion_failures(field, grid, xs, ys, eps, L, arc_tol):
         except SingularityError:
             failures.append(float(t))
             continue
-        if not _orbit_displacement(field, chart, yy, eps, arc_tol):
+        if not _orbit_displacement(chart, yy, eps, arc_tol):
             failures.append(float(t))
     return failures
 
@@ -244,25 +244,31 @@ def _candidate_pairs(config):
     return pairs
 
 
-def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
-    """Budgeted search for shadowing pairs breaking the mode's conclusion."""
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}; choose from {MODES}")
+def _scan_inputs(config):
+    """(L, candidate pairs): the part of a scan that no mode changes."""
     config.validate()
-    field = config.field
     L = config.lipschitz
     if L is None:
-        L = estimate_lipschitz(field, field.domain, 512, seed=config.seed)
+        L = estimate_lipschitz(config.field, config.field.domain, 512,
+                               seed=config.seed)
     r0 = chart_radius(L)
     if max(config.epsilons) > r0:
         raise DomainError(
             f"epsilon grid must stay within the chart radius r0={r0:.3e}")
+    return L, _candidate_pairs(config)
+
+
+def _scan(config, mode, L, pairs, orbits):
+    """The scan body of one mode over the candidate pairs.
+
+    `orbits` maps a base point to its `_base_orbit` (None if broken); it is
+    filled as base points come up, and scans of several modes may share it.
+    """
+    field = config.field
     verdicts = {(float(e), float(d)): "no-violation-found"
                 for e in config.epsilons for d in config.deltas}
     witnesses = []
-    pairs = _candidate_pairs(config)
     used = 0
-    orbits = {}                     # base point -> _base_orbit, None if broken
     for x, y in pairs:
         if used >= config.budget:
             break
@@ -306,6 +312,14 @@ def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
                       budget=config.budget, budget_used=used,
                       horizon=(float(config.horizon[0]), float(config.horizon[1])),
                       n_pairs=len(pairs))
+
+
+def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
+    """Budgeted search for shadowing pairs breaking the mode's conclusion."""
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}; choose from {MODES}")
+    L, pairs = _scan_inputs(config)
+    return _scan(config, mode, L, pairs, {})
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +403,9 @@ class ProbeReport:
 def nonsingular_equivalence_probe(field, config: ScanConfig) -> ProbeReport:
     """Run all three scan modes on the same samples and compare thresholds.
 
+    The modes share the candidate pairs and the base orbits, each computed
+    once.
+
     For each epsilon the largest grid delta with no violation is reported
     per mode; consistency means each pair of thresholds differs by at most
     the speed-ratio factor of the scanned region (with one-grid-step slack).
@@ -398,7 +415,9 @@ def nonsingular_equivalence_probe(field, config: ScanConfig) -> ProbeReport:
     if min(speeds) <= 1e3 * field.singular_speed():
         raise DomainError("scan region contains (near-)singular samples")
     ratio = max(speeds) / min(speeds)
-    reports = {m: expansiveness_scan(config, m) for m in MODES}
+    L, pairs = _scan_inputs(config)
+    orbits = {}
+    reports = {m: _scan(config, m, L, pairs, orbits) for m in MODES}
     deltas = sorted(float(d) for d in config.deltas)
     grid_slack = max((deltas[i + 1] / deltas[i]
                       for i in range(len(deltas) - 1)), default=1.0)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (BoxBoundsError, DomainError, NotInBoxError,
                      SingularityError)
-from .fields import effective_lipschitz, flow, flow_states_batch, speed
+from .fields import (effective_lipschitz, flow, flow_states_batch, speed,
+                     speeds)
 from .util import orthonormal_complement, unit
 
 
@@ -176,6 +177,26 @@ def _ball_grid(chart, grid):
     return vs, ts
 
 
+def _time_frames(field, pts, ts, ht, tol):
+    """States of the point stack at t - ht, t and t + ht for every t node,
+    as (n_t, 3, n_pts, d).
+
+    One `flow_states_batch` solve per time sign, whose `t_eval` holds every
+    time of that sign ordered by |t| (the grid has nodes of both signs);
+    time 0 is the stack itself.
+    """
+    times = ts[:, None] + np.array([-ht, 0.0, ht])
+    frames = np.empty(times.shape + pts.shape)
+    frames[times == 0.0] = pts
+    for sign in (-1.0, 1.0):
+        side = sign * times > 0.0
+        mags, inv = np.unique(sign * times[side], return_inverse=True)
+        tev = sign * mags
+        frames[side] = flow_states_batch(field, pts, tev[-1], tol,
+                                         t_eval=tev)[inv]
+    return frames
+
+
 def verify_box_bounds(chart: FlowboxChart, grid: int,
                       tol=1e-9) -> BoxBoundsReport:
     """Finite-difference check of the chart derivative bounds on a grid.
@@ -184,9 +205,10 @@ def verify_box_bounds(chart: FlowboxChart, grid: int,
     1e-5 * r0 (time direction); each bound is met within FD_SLACK.
     Violations are reported with their witness node, never raised.
 
-    Each t node flows the per-chart point stack once, to the frames at t - ht,
-    t and t + ht, and measures all its derivatives with one stacked norm and
-    SVD; image speeds stay per node (a stacked row norm moves the last bit).
+    The per-chart point stack is flowed with one solve per time sign to the
+    frames at t - ht, t and t + ht of every t node, and all derivatives of
+    all nodes are measured in one stacked pass: one norm, one SVD and one
+    image-speed evaluation over the (n_t, n_v) node grid.
     """
     if grid < 2:
         raise DomainError("grid must be >= 2")
@@ -196,7 +218,6 @@ def verify_box_bounds(chart: FlowboxChart, grid: int,
     hv = 1e-5 * chart.v_radius
     ht = 1e-5 * chart.r0
     Q = np.column_stack([chart.frame, chart.flow_dir])
-    sing_floor = field.singular_speed()
 
     # for every v node the center point plus the 2(d-1) normal-step points
     pts = []
@@ -207,49 +228,31 @@ def verify_box_bounds(chart: FlowboxChart, grid: int,
             step = hv * chart.frame[:, k]
             pts.append(p0 + step)
             pts.append(p0 - step)
-    pts = np.asarray(pts)
-    block = 2 * (d - 1) + 1
-
-    max_dev = 0.0
-    min_mini = np.inf
-    max_norm = 0.0
-    no_sing = True
-    witnesses = []
-
-    for t in ts:
-        if t == 0.0:
-            back = flow_states_batch(field, pts, -ht, tol)
-            fwd = flow_states_batch(field, pts, ht, tol)
-            frames = np.stack([back, pts, fwd])
-        else:
-            s = np.sign(t)
-            frames = flow_states_batch(field, pts, t + s * ht, tol,
-                                       t_eval=[t - s * ht, t, t + s * ht])
-            if t < 0:
-                frames = frames[::-1]
-        frames = frames.reshape(3, len(vs), block, d)
-        M = np.empty((len(vs), d, d))
-        M[:, :, :d - 1] = ((frames[1, :, 1::2] - frames[1, :, 2::2])
-                           / (2.0 * hv)).transpose(0, 2, 1)
-        M[:, :, d - 1] = (frames[2, :, 0] - frames[0, :, 0]) / (2.0 * ht) / chart.speed
-        dev = np.linalg.norm(M - Q, 2, axis=(1, 2))
-        sv = np.linalg.svd(M, compute_uv=False)
-        mini, norm = sv[:, -1], sv[:, 0]
-        img_speed = np.array([speed(field, c) for c in frames[1, :, 0]])
-        # NaN-blind folds, like the builtin max and min over nodes
-        max_dev = max(max_dev, float(np.fmax.reduce(dev)))
-        min_mini = min(min_mini, float(np.fmin.reduce(mini)))
-        max_norm = max(max_norm, float(np.fmax.reduce(norm)))
-        sing = img_speed <= sing_floor
-        no_sing = no_sing and not np.any(sing)
-        bad = ((dev > 0.5 + FD_SLACK) | (mini < 0.5 - FD_SLACK)
-               | (norm > 2.0 + FD_SLACK) | sing)
-        for m in np.flatnonzero(bad):
-            witnesses.append({"v": (chart.frame @ vs[m]).tolist(),
-                              "t": float(t), "dev": float(dev[m]),
-                              "mininorm": float(mini[m]),
-                              "norm": float(norm[m]),
-                              "image_speed": float(img_speed[m])})
+    frames = _time_frames(field, np.asarray(pts), ts, ht, tol)
+    frames = frames.reshape(ts.size, 3, len(vs), 2 * (d - 1) + 1, d)
+    M = np.empty((ts.size, len(vs), d, d))
+    M[..., :d - 1] = ((frames[:, 1, :, 1::2] - frames[:, 1, :, 2::2])
+                      / (2.0 * hv)).swapaxes(-2, -1)
+    M[..., d - 1] = ((frames[:, 2, :, 0] - frames[:, 0, :, 0]) / (2.0 * ht)
+                     / chart.speed)
+    dev = np.linalg.norm(M - Q, 2, axis=(-2, -1))
+    sv = np.linalg.svd(M, compute_uv=False)
+    mini, norm = sv[..., -1], sv[..., 0]
+    img_speed = speeds(field,
+                       frames[:, 1, :, 0].reshape(-1, d)).reshape(dev.shape)
+    # NaN-blind folds, like the builtin max and min over nodes
+    max_dev = max(0.0, float(np.fmax.reduce(dev, axis=None)))
+    min_mini = min(np.inf, float(np.fmin.reduce(mini, axis=None)))
+    max_norm = max(0.0, float(np.fmax.reduce(norm, axis=None)))
+    sing = img_speed <= field.singular_speed()
+    no_sing = not np.any(sing)
+    bad = ((dev > 0.5 + FD_SLACK) | (mini < 0.5 - FD_SLACK)
+           | (norm > 2.0 + FD_SLACK) | sing)
+    witnesses = [{"v": (chart.frame @ vs[m]).tolist(), "t": float(ts[i]),
+                  "dev": float(dev[i, m]), "mininorm": float(mini[i, m]),
+                  "norm": float(norm[i, m]),
+                  "image_speed": float(img_speed[i, m])}
+                 for i, m in zip(*np.nonzero(bad))]
 
     bounds_ok = (max_dev <= 0.5 + FD_SLACK and min_mini >= 0.5 - FD_SLACK
                  and max_norm <= 2.0 + FD_SLACK and no_sing)

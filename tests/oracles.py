@@ -5,13 +5,15 @@ search, with none of its algorithm: `brute_force_bottleneck` against
 `reparam.lattice_bottleneck`, `angle_brute` against `blockseq.angle`.
 `verify_box_bounds_loop` is the per-node loop form of
 `flowbox.verify_box_bounds`: the same arithmetic, one grid node at a time.
+`estimate_lipschitz_loop` is the per-sample loop form of
+`fields.estimate_lipschitz`.
 """
 
 import numpy as np
 
 from flowlab.errors import NoPathError
-from flowlab.fields import flow_states_batch, speed
-from flowlab.flowbox import BoxBoundsReport, _ball_grid
+from flowlab.fields import LIPSCHITZ_SAFETY, speeds
+from flowlab.flowbox import BoxBoundsReport, _ball_grid, _time_frames
 from flowlab.util import orthonormalize
 
 _STEPS = ((1, 0), (0, 1), (1, 1))
@@ -73,6 +75,17 @@ def angle_brute(S, U, n_grid=2000, seed=0):
     return min(side(S, U), side(U, S))
 
 
+def estimate_lipschitz_loop(field, region, samples, seed=0):
+    """Per-sample loop form of `estimate_lipschitz` (oracle): one operator
+    norm per sampled Jacobian, folded with the builtin max."""
+    pts = region.sample(np.random.default_rng(seed), samples)
+    worst = 0.0
+    for p in pts:
+        J = np.asarray(field.jac(p), dtype=float)
+        worst = max(worst, float(np.linalg.norm(J, 2)))
+    return LIPSCHITZ_SAFETY * worst
+
+
 def verify_box_bounds_loop(chart, grid: int, tol=1e-9,
                            fd_slack=1e-3) -> BoxBoundsReport:
     """Per-node loop form of `verify_box_bounds` (oracle).
@@ -97,34 +110,21 @@ def verify_box_bounds_loop(chart, grid: int, tol=1e-9,
     no_sing = True
     witnesses = []
 
-    for t in ts:
-        # stack per t-node: for every v node the center point plus the
-        # 2(d-1) normal-step points, all integrated at once
-        pts = []
-        for v in vs:
-            p0 = chart.base + chart.frame @ v
-            pts.append(p0)
-            for k in range(d - 1):
-                step = hv * chart.frame[:, k]
-                pts.append(p0 + step)
-                pts.append(p0 - step)
-        pts = np.asarray(pts)
-        block = 2 * (d - 1) + 1
-        if t == 0.0:
-            back = flow_states_batch(field, pts, -ht, tol)
-            fwd = flow_states_batch(field, pts, ht, tol)
-            frames = np.stack([back, pts, fwd])
-        else:
-            tev = np.array(sorted([t - ht, t, t + ht], key=abs))
-            if t < 0:
-                tev = np.sort(tev)[::-1]
-            else:
-                tev = np.sort(tev)
-            frames_raw = flow_states_batch(field, pts, t + np.sign(t) * ht,
-                                           tol, t_eval=tev)
-            idx = {float(tv): i for i, tv in enumerate(tev)}
-            frames = np.stack([frames_raw[idx[t - ht]], frames_raw[idx[t]],
-                               frames_raw[idx[t + ht]]])
+    # for every v node the center point plus the 2(d-1) normal-step
+    # points, flowed by the same per-sign solves as the array form; the
+    # loop below measures one grid node at a time
+    pts = []
+    for v in vs:
+        p0 = chart.base + chart.frame @ v
+        pts.append(p0)
+        for k in range(d - 1):
+            step = hv * chart.frame[:, k]
+            pts.append(p0 + step)
+            pts.append(p0 - step)
+    pts = np.asarray(pts)
+    block = 2 * (d - 1) + 1
+    all_frames = _time_frames(field, pts, ts, ht, tol)
+    for t, frames in zip(ts, all_frames):
         for m, v in enumerate(vs):
             rows = frames[:, m * block:(m + 1) * block, :]
             center = rows[1, 0]
@@ -135,7 +135,9 @@ def verify_box_bounds_loop(chart, grid: int, tol=1e-9,
             dev = float(np.linalg.norm(M - Q, 2))
             sv = np.linalg.svd(M, compute_uv=False)
             mini, norm = float(sv[-1]), float(sv[0])
-            img_speed = speed(field, center)
+            # the row norm of `fields.speeds`, which `speed` can differ
+            # from in the last bit
+            img_speed = float(speeds(field, center[None])[0])
             max_dev = max(max_dev, dev)
             min_mini = min(min_mini, mini)
             max_norm = max(max_norm, norm)

@@ -198,3 +198,28 @@ def test_probe_unit_speed_region_coincides(rotation):
     probe = nonsingular_equivalence_probe(rotation, cfg)
     # base speeds are exactly 1: rescaled and komuro thresholds coincide
     assert probe.thresholds["rescaled"] == probe.thresholds["komuro"]
+
+
+def test_probe_shares_pairs_and_base_orbits(rotation, monkeypatch):
+    # the recurrence flows and the base-orbit solves do not depend on the
+    # mode: the probe makes each once, and its reports are the three scans'
+    import sys
+    import flowlab.expansive as E
+    pts = ((1.0, 0.0), (0.0, 1.3), (-0.8, 0.3), (0.6, -0.9))
+    cfg = ScanConfig(field=rotation, base_points=pts, horizon=(-2.0, 2.0),
+                     epsilons=(0.02,), deltas=(0.05, 0.2), budget=16, seed=4,
+                     lipschitz=1.05)
+    want = {m: expansiveness_scan(cfg, m).to_json_dict() for m in E.MODES}
+    callers = []
+    inner = E.flow_points
+
+    def recording(field, x, times, tol=1e-9):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return inner(field, x, times, tol)
+
+    monkeypatch.setattr(E, "flow_points", recording)
+    probe = nonsingular_equivalence_probe(rotation, cfg)
+    assert {m: r.to_json_dict() for m, r in probe.reports.items()} == want
+    assert callers.count("_candidate_pairs") == len(pts)
+    # the 16 pairs used start at all four bases
+    assert callers.count("_base_orbit") == len(pts)

@@ -10,6 +10,7 @@ from flowlab.fields import (Box, _domain_event, _fd_jacobian, custom_field,
                             estimate_lipschitz, evaluate, flow, flow_points,
                             flow_states_batch, make_field, orbit_to_csv,
                             sample_orbit)
+from oracles import estimate_lipschitz_loop
 
 BUILTIN_KINDS = [
     ("linear", [-3.0, 0.5, 0.0, 0.2, -1.0, 0.0, 0.0, 0.7, 2.0]),
@@ -145,6 +146,20 @@ def test_estimate_lipschitz_lorenz_refinement_oracle(lorenz):
     assert abs(coarse - fine) <= 0.05 * fine
 
 
+@pytest.mark.parametrize("kind,params", BUILTIN_KINDS + [("custom", ())])
+def test_estimate_lipschitz_stacked_is_bitwise_the_loop(kind, params):
+    if kind == "custom":   # per-point func, central-difference Jacobian
+        field = custom_field("cubic", 2, lambda x: np.array(
+            [x[1] ** 3 - x[0], np.sin(x[0]) * x[1]]),
+            Box([-2.0, -2.0], [2.0, 2.0]))
+    else:
+        field = make_field(kind, params)
+    for samples, seed in ((1, 0), (7, 3), (90, 11)):
+        got = estimate_lipschitz(field, field.domain, samples, seed=seed)
+        want = estimate_lipschitz_loop(field, field.domain, samples, seed=seed)
+        assert repr(got) == repr(want)
+
+
 def test_estimate_lipschitz_empty_region(lorenz):
     with pytest.raises(DomainError):
         Box([1, 1, 1], [1, 1, 1])
@@ -238,6 +253,16 @@ def test_domain_event_matches_array_formula(kind, params):
         for y in (x, np.concatenate([x, np.eye(field.dimension).ravel()])):
             value = event(0.0, y)
             assert type(value) is float and value == expected
+
+
+def test_flow_states_batch_checks_every_frame(rotation):
+    # the orbit of (9.9, 9.9) passes (0, 14.0) at pi/4, outside [-10, 10]^2,
+    # and is back inside at pi/2
+    with pytest.raises(EscapeError):
+        flow_states_batch(rotation, [[9.9, 9.9]], np.pi / 2,
+                          t_eval=[np.pi / 4, np.pi / 2])
+    end = flow_states_batch(rotation, [[9.9, 9.9]], np.pi / 2)
+    assert np.allclose(end, [[-9.9, 9.9]])
 
 
 def test_flow_states_batch_escape_slack():

@@ -5,8 +5,8 @@ from scipy.linalg import expm
 from flowlab.errors import (BoxBoundsError, EscapeError, NotInBoxError,
                             SingularityError)
 from flowlab.fields import speed
-from flowlab.flowbox import (chart_radius, flowbox_invert, flowbox_map,
-                             make_chart, verify_box_bounds)
+from flowlab.flowbox import (_ball_grid, chart_radius, flowbox_invert,
+                             flowbox_map, make_chart, verify_box_bounds)
 from oracles import verify_box_bounds_loop
 
 
@@ -144,6 +144,42 @@ def test_bounds_array_form_is_bitwise_the_loop(request, name, base, L, grids):
         assert repr(got) == repr(want)
         if L == 0.3:
             assert want["witnesses"]
+
+
+def _closed_form_bounds(chart, A, grid):
+    """(max dev, min mininorm, max norm) of DF(v, t) = [e^{tA} B, A e^{tA}
+    (x + v) / |X(x)|] over the nodes of the verified grid."""
+    vs, ts = _ball_grid(chart, grid)
+    d = A.shape[0]
+    Q = np.column_stack([chart.frame, chart.flow_dir])
+    devs, minis, norms = [], [], []
+    for t in ts:
+        E = expm(t * A)
+        for v in vs:
+            M = np.empty((d, d))
+            M[:, :d - 1] = E @ chart.frame
+            M[:, d - 1] = A @ E @ (chart.base + chart.frame @ v) / chart.speed
+            devs.append(np.linalg.norm(M - Q, 2))
+            sv = np.linalg.svd(M, compute_uv=False)
+            minis.append(sv[-1])
+            norms.append(sv[0])
+    return max(devs), min(minis), max(norms)
+
+
+@pytest.mark.parametrize("name, A, base", [
+    ("saddle2d", np.diag([1.0, -1.0]), [1.0, 0.0]),
+    ("saddle2d", np.diag([1.0, -1.0]), [0.5, 0.4]),
+    ("rotation", np.array([[0.0, -1.0], [1.0, 0.0]]), [1.0, 0.0]),
+    ("rotation", np.array([[0.0, -1.0], [1.0, 0.0]]), [0.3, -0.7]),
+])
+@pytest.mark.parametrize("L", [1.05, 0.3])
+def test_bounds_match_closed_form_on_grid(request, name, A, base, L):
+    chart = make_chart(request.getfixturevalue(name), base, L)
+    for grid in (5, 12):
+        rep = verify_box_bounds(chart, grid, tol=1e-10)
+        want = _closed_form_bounds(chart, A, grid)
+        got = (rep.max_dev_from_id, rep.min_mininorm, rep.max_norm)
+        assert got == pytest.approx(want, rel=0, abs=1e-9), grid
 
 
 def test_bounds_array_form_escapes_like_the_loop(saddle_susp):
