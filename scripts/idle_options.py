@@ -4,13 +4,16 @@
 An AST pass collects every function and method defined in `src/flowlab`
 and every call in `src/`, `scripts/`, `perfbench/` and `tests/`, matched to
 its callee by name (`f(...)` and `obj.f(...)` both call every `f`).  It
-prints three lists:
+prints four lists:
 
     idle default        a defaulted parameter that no call site sets
     filled default      a `None` default that every call site sets
     idle scenario key   a key of `scenario._COMMAND_KEYS` that no `.scn`
                         file under `scripts/` or `perfbench/` and no
                         string constant in `tests/` sets
+    unread parameter    a parameter that its function's body never reads
+                        (a read in a nested function or lambda counts;
+                        the `self` or `cls` of a method is left out)
 
 `tol` is left out: it is the accuracy contract of the whole API.  A call
 that passes a parameter sets it whatever the value (a variable that may
@@ -39,6 +42,7 @@ def _definitions(path):
     """(qualified name, called name, positional params, defaults) per def."""
     tree = ast.parse(path.read_text(), str(path))
     out = []
+    unread = []
 
     def visit(body, owner):
         for node in body:
@@ -62,8 +66,26 @@ def _definitions(path):
                 # a constructor is called by its class name
                 name = owner if node.name == "__init__" else node.name
                 out.append((qual, name, positional, defaults))
+                read = _read_names(node.body)
+                params = positional + [p.arg for p in a.kwonlyargs] + [
+                    p.arg for p in (a.vararg, a.kwarg) if p is not None]
+                unread.extend(f"{qual}({p})" for p in params
+                              if p not in read)
     visit(tree.body, None)
-    return out
+    return out, unread
+
+
+def _read_names(body):
+    """Names that a list of statements reads, nested scopes included."""
+    read = set()
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.AugAssign)
+                  and isinstance(node.target, ast.Name)):
+                read.add(node.target.id)
+    return read
 
 
 def _calls(paths):
@@ -88,9 +110,12 @@ def _calls(paths):
 
 
 def scan(root=ROOT):
-    defs = []
+    """(idle defaults, filled defaults, unread parameters)."""
+    defs, unread = [], []
     for path in sorted((root / "src" / "flowlab").glob("*.py")):
-        defs.extend(_definitions(path))
+        found, never_read = _definitions(path)
+        defs.extend(found)
+        unread.extend(never_read)
     callers = [p for d in CALLER_DIRS for p in sorted((root / d).rglob("*.py"))]
     calls = _calls(callers)
     idle, filled = [], []
@@ -110,7 +135,7 @@ def scan(root=ROOT):
             elif (isinstance(default, ast.Constant) and default.value is None
                   and all(set_at)):
                 filled.append(f"{qual}({param}=None)")
-    return idle, filled
+    return idle, filled, unread
 
 
 def _command_keys(root):
@@ -161,9 +186,10 @@ def idle_keys(root=ROOT):
 
 
 def main():
-    idle, filled = scan()
+    idle, filled, unread = scan()
     for label, items in (("idle default", idle), ("filled default", filled),
-                         ("idle scenario key", idle_keys())):
+                         ("idle scenario key", idle_keys()),
+                         ("unread parameter", unread)):
         print(f"{label}: {len(items)}")
         for item in items:
             print(f"  {item}")

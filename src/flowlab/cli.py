@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .blockseq import (BlockSequenceSystem, contraction_bound,
                        make_random_system, solve_fixed_point, solve_linear_part)
-from .errors import FlowLabError, ScenarioError
+from .errors import DomainError, EscapeError, FlowLabError, ScenarioError
 from .expansive import (MODES, ScanConfig, epsilon0_estimate,
                         expansiveness_scan, nonsingular_equivalence_probe,
                         save_witness, replay_witness)
@@ -85,10 +86,17 @@ def _run_flowbox(sc, field, out):
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, tol=sc.tol)
     findings = 0
+    skipped = 0
     per_base = []
     rows = []
     for p in pts:
-        rep = verify_box_bounds(make_chart(field, p, L), grid, tol=sc.tol)
+        try:
+            rep = verify_box_bounds(make_chart(field, p, L), grid, tol=sc.tol)
+        except EscapeError:
+            skipped += 1
+            _print(f"flowbox base={np.round(p, 4).tolist()} SKIP "
+                   f"(the chart grid leaves the domain)")
+            continue
         per_base.append(rep.to_json_dict())
         rows.append([*p, rep.max_dev_from_id, rep.min_mininorm, rep.max_norm,
                      rep.bounds_ok])
@@ -97,11 +105,15 @@ def _run_flowbox(sc, field, out):
         _print(f"flowbox base={np.round(p, 4).tolist()} max_dev="
                f"{rep.max_dev_from_id:.4f} "
                f"{'PASS' if rep.bounds_ok else 'FAIL'}")
+    if not per_base:
+        raise DomainError(f"no base verified: the chart grids of all "
+                          f"{skipped} bases leave the domain")
     write_csv(out / "series-flowbox.csv",
               [f"x_{i+1}" for i in range(field.dimension)]
               + ["max_dev", "min_mininorm", "max_norm", "bounds_ok"], rows)
     report = {"command": "flowbox", "L": L, "r0": chart_radius(L),
-              "bases": len(per_base), "grid": grid, "reports": per_base,
+              "bases": len(per_base), "skipped_bases": skipped,
+              "grid": grid, "reports": per_base,
               "max_dev": max(r["max_dev"] for r in per_base),
               "min_mininorm": min(r["min_mininorm"] for r in per_base),
               "max_norm": max(r["max_norm"] for r in per_base)}
@@ -362,8 +374,10 @@ def run_scenario(path, out=None, seed=None, tol=None) -> int:
         out_dir = Path(sc.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         report, findings = _HANDLERS[sc.command](sc, field, out_dir)
+        # relative to the working directory, so that the report does not
+        # depend on where the checkout lives
         report["scenario"] = {
-            "source": sc.source, "field": field.to_json_dict(),
+            "source": os.path.relpath(sc.source), "field": field.to_json_dict(),
             "command": sc.command, "seed": sc.seed, "tol": sc.tol,
             "findings": findings,
         }

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, EscapeError, FlowLabError, HorizonError,
-                     NotInBoxError, SingularityError, StiffnessError)
-from .fields import estimate_lipschitz, field_from_json, flow_points, speed
+from .errors import (DomainError, FlowLabError, HorizonError, NotInBoxError,
+                     SingularityError, StiffnessError)
+from .fields import (DenseOrbit, estimate_lipschitz, field_from_json,
+                     flow_points, orbit_states, speed)
 from .flowbox import chart_radius, flowbox_invert, make_chart
 from .poincare import section_radius
 from .reparam import (Reparametrization, admissible_delta,
@@ -115,46 +116,147 @@ class ScanReport:
         }
 
 
-def _orbit_displacement(chart, point, eps, arc_tol):
-    """Is the point on the orbit arc phi_[-eps, eps] of the chart base?"""
-    try:
-        v, s = flowbox_invert(chart, point)
-    except NotInBoxError:
-        return False
-    on_orbit = np.linalg.norm(v) <= arc_tol * chart.speed
-    return bool(on_orbit and abs(s) <= eps * (1.0 + 1e-9))
+class _BaseOrbit:
+    """A base point's orbit at the fit nodes, the conclusion grid and the
+    recurrence times, with the flow-box charts along the grid.
 
-
-def _base_orbit(field, x, config):
-    """(t_nodes, states at t_nodes, grid, states at grid) of x, one solve.
-
-    The fit nodes and the conclusion grid are both `linspace`s over the
-    horizon, so one `flow_points` call over their union has the step
-    sequence of either alone and returns the same bits as two calls.
+    One forward solve over (0, max(hi, hi - lo)] serves all three and is
+    made when the orbit is built; the backward half over [lo, 0) is solved
+    on first use.  An exit breaks the orbit only within [lo, hi], and the
+    recurrence pair only within (0, hi - lo].  A state differs from the
+    one of a solve over the horizon alone only in that solve's last step.
     """
-    lo, hi = config.horizon[0], config.horizon[1]
-    t_nodes = np.linspace(lo, hi, max(2, int(config.lattice[0])))
-    grid = np.linspace(lo, hi, config.grid_n)
-    states = flow_points(field, x, np.concatenate([t_nodes, grid]), config.tol)
-    return t_nodes, states[:t_nodes.size], grid, states[t_nodes.size:]
+
+    def __init__(self, config, x, L):
+        lo, hi = config.horizon
+        self.config, self.x, self.L = config, x, L
+        self.t_nodes = np.linspace(lo, hi, max(2, int(config.lattice[0])))
+        self.grid = np.linspace(lo, hi, config.grid_n)
+        t_rec = np.linspace(max(1.0, 0.05 * (hi - lo)), hi - lo, 48)
+        self._times = np.concatenate([self.t_nodes, self.grid])
+        self._states = np.full((self._times.size, config.field.dimension),
+                               np.nan)
+        self._states[self._times == 0] = x
+        fwd = self._times > 0
+        states, exit_time = _orbit_states(
+            config, x, np.concatenate([self._times[fwd], t_rec]))
+        n_fwd = int(fwd.sum())
+        self._states[fwd] = states[:n_fwd]
+        self._broken = exit_time is not None and exit_time <= hi
+        #: states at the recurrence times, None if they leave the domain
+        self.recurrence = (states[n_fwd:] if exit_time is None
+                           or exit_time > hi - lo else None)
+        self._backward_done = not np.any(self._times < 0)
+        self._charts = None
+
+    def states(self):
+        """(t_nodes, states at t_nodes, grid, states at grid), or None when
+        the orbit leaves the domain within the horizon."""
+        if not self._backward_done and not self._broken:
+            back = self._times < 0
+            self._states[back], exit_time = _orbit_states(
+                self.config, self.x, self._times[back])
+            self._broken = exit_time is not None
+            self._backward_done = True
+        if self._broken:
+            return None
+        n = self.t_nodes.size
+        return self.t_nodes, self._states[:n], self.grid, self._states[n:]
+
+    def charts(self):
+        """`_charts` of the grid states, built on first use."""
+        if self._charts is None:
+            self._charts = _charts(self.config.field, self.states()[3], self.L)
+        return self._charts
 
 
-def _evaluate_pair(field, y, config, mode, thetas, grid, xs):
-    """(theta, sup, ys) per theta against xs on grid, best first (inf = broken)."""
+def _orbit_states(config, x, times):
+    """`orbit_states`, with a solver failure counted as an exit at time 0."""
+    try:
+        return orbit_states(config.field, x, times, config.tol)
+    except StiffnessError:
+        return np.full((len(times), config.field.dimension), np.nan), 0.0
+
+
+def _charts(field, xs, L):
+    """The flow-box chart at each state, None where the state is singular."""
+    charts = []
+    for bx in xs:
+        try:
+            charts.append(make_chart(field, bx, L))
+        except SingularityError:
+            charts.append(None)
+    return charts
+
+
+def _arc_times(charts, ys, arc_tol):
+    """Chart time s of each y_theta(t) on the orbit arc of x_t, per grid time.
+
+    NaN where y_theta(t) is off the arc (normal offset above arc_tol |X|),
+    has no preimage in the chart box, or the chart base is singular.
+    """
+    out = np.full(len(ys), np.nan)
+    for i, (chart, yy) in enumerate(zip(charts, ys)):
+        if chart is None:
+            continue
+        try:
+            v, s = flowbox_invert(chart, yy)
+        except NotInBoxError:
+            continue
+        if np.linalg.norm(v) <= arc_tol * chart.speed:
+            out[i] = s
+    return out
+
+
+def _conclusion_failures(grid, arc_times, eps):
+    """Grid times where y_theta(t) is off the orbit arc phi_[-eps, eps] of x_t."""
+    return [float(t) for t, s in zip(grid, arc_times)
+            if not abs(s) <= eps * (1.0 + 1e-9)]
+
+
+def _evaluate_pair(field, x, y, config, mode, base):
+    """(theta, sup, ys) per time change of y that stays in the domain over
+    the grid, best first; `base` is the `_BaseOrbit.states` of x.
+
+    The candidates are the theta fitted on the sheared lattice around the
+    identity, and the identity.  y gets one dense solve per time sign over
+    the lattice span, which serves the lattice, the identity and the fitted
+    theta; when y leaves the domain before the horizon start, no forward
+    solve is made and no candidate is left.
+    """
+    t_nodes, x_nodes, grid, xs = base
     rescale = mode == "rescaled"
     speeds = np.array([speed(field, s) for s in xs])
     if np.any(speeds <= field.singular_speed()):
         if rescale:
             raise SingularityError("base orbit hits a singular sample")
         speeds = np.maximum(speeds, field.singular_speed())
-    out = []
-    for theta in thetas:
-        try:
-            ys = flow_points(field, y, theta(grid), config.tol)
-        except (EscapeError, StiffnessError):
-            out.append((theta, np.inf, None))
-            continue
-        out.append((theta, _sup(xs, ys, speeds, rescale), ys))
+    width = max(config.deltas) * 3.0 + 1e-12
+    offsets = np.linspace(-width, width, max(3, int(config.lattice[1])))
+    theta_nodes = t_nodes[:, None] + offsets[None, :]
+    orbit = DenseOrbit(field, y, (theta_nodes.min(), theta_nodes.max()),
+                       config.tol)
+    try:
+        if not orbit.reaches(grid[[0, -1]]):
+            return []
+        thetas = [Reparametrization.identity()]
+        if orbit.reaches(theta_nodes):
+            try:
+                fitted, _ = fit_reparametrization(
+                    field, x, y, t_nodes=t_nodes,
+                    theta_nodes=theta_nodes, rescale=rescale, tol=config.tol,
+                    x_states=x_nodes, y_states=orbit(theta_nodes.ravel()))
+                thetas.insert(0, fitted)
+            except FlowLabError:
+                pass
+        out = []
+        for theta in thetas:
+            times = theta(grid)
+            if orbit.reaches(times):
+                ys = orbit(times)
+                out.append((theta, _sup(xs, ys, speeds, rescale), ys))
+    except StiffnessError:
+        return []
     out.sort(key=lambda p: p[1])
     return out
 
@@ -163,20 +265,6 @@ def _sup(xs, ys, speeds, rescale):
     """Grid sup of d(x_t, y_theta(t)), over |X(x_t)| when rescaled."""
     dist = np.linalg.norm(xs - ys, axis=1)
     return float(np.max(dist / speeds)) if rescale else float(np.max(dist))
-
-
-def _conclusion_failures(field, grid, xs, ys, eps, L, arc_tol):
-    """Grid times where y_theta(t) is off the orbit arc of x_t."""
-    failures = []
-    for t, bx, yy in zip(grid, xs, ys):
-        try:
-            chart = make_chart(field, bx, L)
-        except SingularityError:
-            failures.append(float(t))
-            continue
-        if not _orbit_displacement(chart, yy, eps, arc_tol):
-            failures.append(float(t))
-    return failures
 
 
 def _violated(mode, grid, fails):
@@ -188,25 +276,10 @@ def _violated(mode, grid, fails):
     return len(fails) > 0
 
 
-def _candidate_thetas(field, x, y, config, mode, t_nodes, xs):
-    """Fitted theta (sheared lattice around the identity) plus the identity;
-    xs are the states of x at t_nodes."""
-    width = max(config.deltas) * 3.0 + 1e-12
-    offsets = np.linspace(-width, width, max(3, int(config.lattice[1])))
-    thetas = [Reparametrization.identity()]
-    try:
-        fitted, _ = fit_reparametrization(
-            field, x, y, t_nodes=t_nodes,
-            theta_nodes=t_nodes[:, None] + offsets[None, :],
-            rescale=(mode == "rescaled"), tol=config.tol, x_states=xs)
-        thetas.insert(0, fitted)
-    except FlowLabError:
-        pass
-    return thetas
+def _candidate_pairs(config, orbits):
+    """Deterministic candidate stream: perturbations, orbit pairs, returns.
 
-
-def _candidate_pairs(config):
-    """Deterministic candidate stream: perturbations, orbit pairs, returns."""
+    The recurrence pairs read the base orbits' recurrence states."""
     field = config.field
     rng = np.random.default_rng(config.seed)
     bases = [np.asarray(p, dtype=float) for p in config.base_points]
@@ -231,12 +304,9 @@ def _candidate_pairs(config):
         for j in range(i + 1, len(bases)):
             pairs.append((bases[i], bases[j]))
     # (iii) recurrence pairs: closest return of the base orbit to itself
-    t_lo = max(1.0, 0.05 * (config.horizon[1] - config.horizon[0]))
     for bp in bases:
-        try:
-            ts = np.linspace(t_lo, config.horizon[1] - config.horizon[0], 48)
-            states = flow_points(field, bp, ts, config.tol)
-        except (EscapeError, StiffnessError):
+        states = orbits[tuple(bp)].recurrence
+        if states is None:
             continue
         dists = np.linalg.norm(states - bp, axis=1)
         best = int(np.argmin(dists))
@@ -245,7 +315,8 @@ def _candidate_pairs(config):
 
 
 def _scan_inputs(config):
-    """(L, candidate pairs): the part of a scan that no mode changes."""
+    """(L, candidate pairs, base orbits by point): the part of a scan that
+    no mode changes."""
     config.validate()
     L = config.lipschitz
     if L is None:
@@ -255,14 +326,20 @@ def _scan_inputs(config):
     if max(config.epsilons) > r0:
         raise DomainError(
             f"epsilon grid must stay within the chart radius r0={r0:.3e}")
-    return L, _candidate_pairs(config)
+    orbits = {}
+    for p in config.base_points:
+        x = np.asarray(p, dtype=float)
+        if tuple(x) not in orbits:
+            orbits[tuple(x)] = _BaseOrbit(config, x, L)
+    return L, _candidate_pairs(config, orbits), orbits
 
 
 def _scan(config, mode, L, pairs, orbits):
     """The scan body of one mode over the candidate pairs.
 
-    `orbits` maps a base point to its `_base_orbit` (None if broken); it is
-    filled as base points come up, and scans of several modes may share it.
+    `orbits` are the `_scan_inputs` base orbits; scans of several modes may
+    share them.  A candidate's arc test runs once and serves every
+    (epsilon, delta) cell.
     """
     field = config.field
     verdicts = {(float(e), float(d)): "no-violation-found"
@@ -273,27 +350,24 @@ def _scan(config, mode, L, pairs, orbits):
         if used >= config.budget:
             break
         used += 1
-        xkey = tuple(np.asarray(x, float))
-        if xkey not in orbits:
-            try:
-                orbits[xkey] = _base_orbit(field, x, config)
-            except (EscapeError, StiffnessError):
-                orbits[xkey] = None
-        if orbits[xkey] is None:
+        orbit = orbits[tuple(x)]
+        base = orbit.states()
+        if base is None:
             continue
-        t_nodes, x_nodes, grid, xs = orbits[xkey]
-        thetas = _candidate_thetas(field, x, y, config, mode, t_nodes, x_nodes)
-        candidates = _evaluate_pair(field, y, config, mode, thetas, grid, xs)
+        grid = base[2]
+        candidates = _evaluate_pair(field, x, y, config, mode, base)
+        arcs = {}
         for eps in config.epsilons:
             for delta in config.deltas:
                 key = (float(eps), float(delta))
                 if verdicts[key] == "violation":
                     continue
-                for theta, sup, ys in candidates:
+                for i, (theta, sup, ys) in enumerate(candidates):
                     if sup > delta:
                         break  # candidates are sorted; none shadows
-                    fails = _conclusion_failures(field, grid, xs, ys, eps, L,
-                                                 ARC_TOL)
+                    if i not in arcs:
+                        arcs[i] = _arc_times(orbit.charts(), ys, ARC_TOL)
+                    fails = _conclusion_failures(grid, arcs[i], eps)
                     if _violated(mode, grid, fails):
                         verdicts[key] = "violation"
                         witnesses.append(Witness(
@@ -318,8 +392,7 @@ def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
     """Budgeted search for shadowing pairs breaking the mode's conclusion."""
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; choose from {MODES}")
-    L, pairs = _scan_inputs(config)
-    return _scan(config, mode, L, pairs, {})
+    return _scan(config, mode, *_scan_inputs(config))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +422,9 @@ def replay_witness(source) -> ReplayResult:
     ys = flow_points(field, y, theta(grid), d["tol"])
     speeds = np.array([speed(field, s) for s in xs])
     sup = _sup(xs, ys, speeds, d["mode"] == "rescaled")
-    fails = _conclusion_failures(field, grid, xs, ys, d["epsilon"],
-                                 d["lipschitz"], d["arc_tol"])
+    fails = _conclusion_failures(
+        grid, _arc_times(_charts(field, xs, d["lipschitz"]), ys,
+                         d["arc_tol"]), d["epsilon"])
     reproduced = bool(_violated(d["mode"], grid, fails)
                       and sup <= d["delta"] * (1.0 + 1e-9))
     return ReplayResult(reproduced=reproduced, measured_sup=sup,
@@ -415,9 +489,8 @@ def nonsingular_equivalence_probe(field, config: ScanConfig) -> ProbeReport:
     if min(speeds) <= 1e3 * field.singular_speed():
         raise DomainError("scan region contains (near-)singular samples")
     ratio = max(speeds) / min(speeds)
-    L, pairs = _scan_inputs(config)
-    orbits = {}
-    reports = {m: _scan(config, m, L, pairs, orbits) for m in MODES}
+    inputs = _scan_inputs(config)
+    reports = {m: _scan(config, m, *inputs) for m in MODES}
     deltas = sorted(float(d) for d in config.deltas)
     grid_slack = max((deltas[i + 1] / deltas[i]
                       for i in range(len(deltas) - 1)), default=1.0)

@@ -6,9 +6,11 @@ so the tangent data is always consistent with the state trajectory.
 
 Every integration of this module goes through one kernel, `_solve` (DOP853
 at `ivp_options(tol)`), and every solve at signed times through `_solve_at`
-on top of it.  The only integrator calls outside this module are the two in
-`hyperbolic._pragmatical_value`, which needs a dense solution and reports
-escapes as `DomainError`.
+on top of it, or through `DenseOrbit` where the times are not known before
+the solve.  Both hand back what an orbit reached before it left the domain,
+with the exit time.  The only integrator calls outside this module are the
+two in `hyperbolic._pragmatical_value`, which needs a dense solution and
+reports escapes as `DomainError`.
 """
 
 from __future__ import annotations
@@ -350,40 +352,56 @@ def _augmented_rhs(field):
     return rhs
 
 
-def _solve(rhs, y0, t, tol, what, t_eval=None, event=None):
+def _solve(rhs, y0, t, tol, what, t_eval=None, event=None, dense=False):
     """The integration kernel: one DOP853 solve over [0, t].
 
-    A terminal event raises EscapeError with its time, any other solver
-    failure StiffnessError.
+    Returns (solution, exit time).  A terminal event ends the solve at its
+    time, and the solution holds what was reached before it: the `t_eval`
+    states up to the exit, or with `dense` the step interpolants up to it.
+    The exit time is None when the solve reaches t; any other solver
+    failure raises StiffnessError.
     """
     sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", **ivp_options(tol),
-                    t_eval=t_eval, events=event)
+                    t_eval=t_eval, events=event, dense_output=dense)
     if sol.status == 1:
-        texit = float(sol.t_events[0][0]) if sol.t_events and len(sol.t_events[0]) else None
-        raise EscapeError(f"orbit left the domain during {what}", exit_time=texit)
+        return sol, float(sol.t_events[0][0])
     if sol.status != 0:
         raise StiffnessError(f"integrator failed during {what}: {sol.message}")
-    return sol
+    return sol, None
+
+
+def _check_exit(what, exit_time):
+    """EscapeError, with the exit time, if a solve left the domain."""
+    if exit_time is not None:
+        raise EscapeError(f"orbit left the domain during {what}",
+                          exit_time=exit_time)
 
 
 def _solve_at(field, rhs, y0, times, tol, what):
-    """Solutions (n, len(y0)) at signed times, in input order.
+    """(solutions (n, len(y0)) at signed times in input order, exit time).
 
-    One solve per time sign over the distinct times, with the domain event
-    on; y0 is the value at t = 0.
+    One solve per time sign over the distinct times, backward first, with
+    the domain event on; y0 is the value at t = 0.  A solve that leaves the
+    domain ends the call at its exit time, which is returned (else None):
+    the rows of the times it did not reach, and of a sign not yet solved,
+    are NaN.
     """
     ts, inv = np.unique(np.asarray(times, dtype=float), return_inverse=True)
-    out = np.empty((ts.size, y0.size))
-    for back in (True, False):
-        mask = ts < 0 if back else ts > 0
-        if not np.any(mask):
-            continue
-        tev = ts[mask][::-1] if back else ts[mask]
-        vals = _solve(rhs, y0, float(tev[-1]), tol, what, t_eval=tev,
-                      event=_domain_event(field)).y.T
-        out[mask] = vals[::-1] if back else vals
+    out = np.full((ts.size, y0.size), np.nan)
     out[ts == 0] = y0
-    return out[inv]
+    exit_time = None
+    for back in (True, False):
+        rows = np.flatnonzero(ts < 0 if back else ts > 0)
+        if not rows.size:
+            continue
+        rows = rows[::-1] if back else rows
+        sol, exit_time = _solve(rhs, y0, float(ts[rows[-1]]), tol, what,
+                                t_eval=ts[rows], event=_domain_event(field))
+        vals = np.asarray(sol.y, dtype=float).reshape(y0.size, -1).T
+        out[rows[:len(vals)]] = vals
+        if exit_time is not None:
+            break
+    return out[inv], exit_time
 
 
 def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
@@ -400,21 +418,95 @@ def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
     if t == 0.0:
         return x.copy(), np.eye(d)
     y0 = np.concatenate([x, np.eye(d).ravel()])
-    sol = _solve(_augmented_rhs(field), y0, t, tol,
-                 f"flow of {field.name} to t={t}", event=_domain_event(field))
+    what = f"flow of {field.name} to t={t}"
+    sol, exit_time = _solve(_augmented_rhs(field), y0, t, tol, what,
+                            event=_domain_event(field))
+    _check_exit(what, exit_time)
     y = sol.y[:, -1]
     return y[:d], y[d:].reshape(d, d)
+
+
+def orbit_states(field, x, times, tol=1e-9):
+    """(states, exit time) of the orbit of x at (possibly signed) times.
+
+    One integration per sign, backward first; results are in the input
+    order, and a repeated time repeats its state.  If the orbit leaves the
+    domain, the states reached before that are kept, the rows of the times
+    past the exit (and of a sign not yet solved) are NaN, and the exit time
+    is returned; it is None when every time is reached.
+    """
+    return _solve_at(field, lambda t, y: field.func(y),
+                     np.asarray(x, dtype=float), times, tol,
+                     f"orbit sampling of {field.name}")
 
 
 def flow_points(field, x, times, tol=1e-9):
     """States of the orbit of x at a collection of (possibly signed) times.
 
-    One integration per sign; results are returned in the input order, and
-    a repeated time repeats its state.
+    `orbit_states` that raises EscapeError, with the exit time, when the
+    orbit leaves the domain before the last of the times.
     """
-    return _solve_at(field, lambda t, y: field.func(y),
-                     np.asarray(x, dtype=float), times, tol,
-                     f"orbit sampling of {field.name}")
+    states, exit_time = orbit_states(field, x, times, tol)
+    _check_exit(f"orbit sampling of {field.name}", exit_time)
+    return states
+
+
+class DenseOrbit:
+    """The orbit of x on a time span [lo, hi] that contains 0.
+
+    One dense solve per time sign, with the domain event on, made when a
+    call first needs that sign (backward first).  A solve that leaves the
+    domain stops at its exit time, and the orbit reaches only the times
+    strictly before it.  A state is bitwise the `flow_points` one at its
+    time, unless that time lies in the last step of the shorter
+    `flow_points` solve.
+    """
+
+    def __init__(self, field, x, span, tol):
+        self.field = field
+        self.x = np.asarray(x, dtype=float)
+        self.span = (min(float(span[0]), 0.0), max(float(span[1]), 0.0))
+        self.tol = tol
+        self._halves = {}
+
+    def _half(self, sign):
+        """(interpolant, exit time or None) of one time sign."""
+        if sign not in self._halves:
+            sol, exit_time = _solve(
+                lambda t, y: self.field.func(y), self.x,
+                self.span[sign > 0], self.tol,
+                f"dense orbit of {self.field.name}",
+                event=_domain_event(self.field), dense=True)
+            self._halves[sign] = (sol.sol, exit_time)
+        return self._halves[sign]
+
+    def reaches(self, times):
+        """Whether the orbit reaches every one of the times; a time outside
+        the span is not reached."""
+        t = np.asarray(times, dtype=float)
+        for sign in (-1.0, 1.0):
+            far = (sign * t).max(initial=0.0)
+            if far == 0.0:
+                continue
+            if far > sign * self.span[sign > 0]:
+                return False
+            exit_time = self._half(sign)[1]
+            if exit_time is not None and far >= sign * exit_time:
+                return False
+        return True
+
+    def __call__(self, times):
+        """States (n, d) at times that the orbit reaches, in input order."""
+        t = np.asarray(times, dtype=float)
+        if not self.reaches(t):
+            raise DomainError("a time lies outside the reached span")
+        out = np.empty((t.size, self.x.size))
+        out[t == 0] = self.x
+        for sign in (-1.0, 1.0):
+            side = sign * t > 0
+            if np.any(side):
+                out[side] = self._half(sign)[0](t[side]).T
+        return out
 
 
 def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
@@ -437,8 +529,8 @@ def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
                              for row in Y]).ravel()
 
     tev = None if t_eval is None else np.asarray(t_eval, dtype=float)
-    sol = _solve(rhs, points.ravel(), float(t), tol, "batched orbit integration",
-                 t_eval=tev)
+    sol, _ = _solve(rhs, points.ravel(), float(t), tol,
+                    "batched orbit integration", t_eval=tev)
     states = sol.y.T.reshape(-1, k, d)
     if t_eval is None:
         states = states[-1]
@@ -520,9 +612,11 @@ def sample_orbit(field, x, times, tol=1e-9, variational=False) -> OrbitSegment:
     d = field.dimension
     var = None
     if variational:
-        y = _solve_at(field, _augmented_rhs(field),
-                      np.concatenate([x, np.eye(d).ravel()]), times, tol,
-                      "variational orbit sampling")
+        what = "variational orbit sampling"
+        y, exit_time = _solve_at(field, _augmented_rhs(field),
+                                 np.concatenate([x, np.eye(d).ravel()]),
+                                 times, tol, what)
+        _check_exit(what, exit_time)
         states, var = y[:, :d].copy(), y[:, d:].reshape(-1, d, d).copy()
     else:
         states = flow_points(field, x, times, tol)

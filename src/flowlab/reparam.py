@@ -170,12 +170,17 @@ def _monotone_knots(t_vals, theta_vals):
 
 
 def fit_reparametrization(field, x, y, t_nodes, theta_nodes, *,
-                          rescale=True, tol=1e-9, x_states=None):
+                          rescale=True, tol=1e-9, x_states=None,
+                          y_states=None):
     """Best piecewise-linear time change over a lattice of time pairs.
 
     The lattice pairs `t_nodes` (m,) with `theta_nodes` of shape (n,) (a
     rectangular grid) or (m, n); a sheared lattice
     `theta_nodes[i, j] = t_nodes[i] + offset_j` refines around the identity.
+
+    `x_states` (m, d), when given, are the states of x at `t_nodes`, and
+    `y_states` (m * n or (m, n), d) those of y at the lattice times; a
+    caller that holds them saves the solves.
 
     Returns (Reparametrization, bottleneck objective).  The objective is the
     exact optimum over lattice paths; the returned theta interpolates the
@@ -188,7 +193,8 @@ def fit_reparametrization(field, x, y, t_nodes, theta_nodes, *,
     m, n = theta_mat.shape
 
     xs = flow_points(field, x, t_nodes, tol) if x_states is None else x_states
-    ys = flow_points(field, y, theta_mat.ravel(), tol).reshape(m, n, -1)
+    ys = (flow_points(field, y, theta_mat.ravel(), tol) if y_states is None
+          else y_states).reshape(m, n, -1)
     sx = speeds(field, xs)
     cost = np.linalg.norm(xs[:, None, :] - ys, axis=2)
     if rescale:

@@ -67,16 +67,16 @@ def test_shift_pairs_never_violate(rotation):
         s = 0.6 * eps
         from flowlab.fields import flow_points
         y = flow_points(rotation, x, [s], 1e-10)[0]
+        orbit = E._BaseOrbit(cfg, x, 1.05)
+        base = orbit.states()
+        grid = base[2]
         for mode in ("rescaled", "komuro", "bowen_walters"):
-            t_nodes, x_nodes, grid, x_grid = E._base_orbit(rotation, x, cfg)
-            thetas = E._candidate_thetas(rotation, x, y, cfg, mode, t_nodes,
-                                         x_nodes)
-            for theta, sup, ys in E._evaluate_pair(rotation, y, cfg, mode,
-                                                   thetas, grid, x_grid):
+            for theta, sup, ys in E._evaluate_pair(rotation, x, y, cfg, mode,
+                                                   base):
                 if sup > 0.1:
                     continue
-                fails = E._conclusion_failures(rotation, grid, x_grid, ys,
-                                               eps, 1.05, E.ARC_TOL)
+                fails = E._conclusion_failures(
+                    grid, E._arc_times(orbit.charts(), ys, E.ARC_TOL), eps)
                 if mode == "komuro":
                     assert len(fails) < grid.size
                 elif mode == "bowen_walters":
@@ -86,27 +86,146 @@ def test_shift_pairs_never_violate(rotation):
                     assert not fails
 
 
+def _record_solves(monkeypatch):
+    """Record every integration of flowlab.fields as (start point, end
+    time, whether `_candidate_pairs` is on the stack)."""
+    import sys
+    import flowlab.fields as F
+    calls = []
+    inner = F.solve_ivp
+
+    def recording(rhs, t_span, y0, **kw):
+        frame, in_pairs = sys._getframe(1), False
+        while frame is not None:
+            in_pairs |= frame.f_code.co_name == "_candidate_pairs"
+            frame = frame.f_back
+        calls.append((tuple(np.asarray(y0, dtype=float)), t_span[1],
+                      in_pairs))
+        return inner(rhs, t_span, y0, **kw)
+
+    monkeypatch.setattr(F, "solve_ivp", recording)
+    return calls
+
+
+def _assert_one_solve_per_sign(calls, bases, horizon, modes=1):
+    # per base point one forward integration over (0, max(hi, hi - lo)]
+    # serves the fit nodes, the grid and the recurrence times; the
+    # backward one over [lo, 0) is made at most once
+    lo, hi = horizon
+    assert not any(in_pairs for _, _, in_pairs in calls)
+    for bp in bases:
+        ends = [end for x, end, _ in calls if x == tuple(map(float, bp))]
+        assert ends.count(max(hi, hi - lo)) == 1, bp
+        assert ends.count(lo) <= 1, bp
+        assert len(ends) == ends.count(max(hi, hi - lo)) + ends.count(lo)
+    # and every y at most one dense solve per time sign and scan mode
+    for y in {x for x, _, _ in calls} - {tuple(map(float, b))
+                                         for b in bases}:
+        ends = [end for x, end, _ in calls if x == y]
+        assert sum(e < 0 for e in ends) <= modes
+        assert sum(e > 0 for e in ends) <= modes
+
+
 def test_one_base_orbit_solve_per_point(rotation, monkeypatch):
-    # the fit nodes and the conclusion grid share one solve per base point
-    import flowlab.expansive as E
+    # the fit nodes, the conclusion grid and the recurrence times share one
+    # forward solve per base point, and _candidate_pairs solves nothing
     # budget 12 covers the 12 perturbation pairs; no y starts at a base point
     cfg = _rotation_config(rotation, budget=12,
                            base_points=((1.0, 0.0), (0.0, 1.3), (-0.8, 0.3)))
-    calls = []
-    inner = E.flow_points
-
-    def recording(field, x, times, tol=1e-9):
-        times = np.asarray(times, dtype=float)
-        calls.append((tuple(np.asarray(x, dtype=float)), times.min(),
-                      times.max()))
-        return inner(field, x, times, tol)
-
-    monkeypatch.setattr(E, "flow_points", recording)
+    calls = _record_solves(monkeypatch)
     rep = expansiveness_scan(cfg, "rescaled")
     assert rep.budget_used == 12
+    _assert_one_solve_per_sign(calls, cfg.base_points, cfg.horizon)
     for bp in cfg.base_points:
-        spans = [c for c in calls if c == (tuple(map(float, bp)), -3.0, 3.0)]
-        assert len(spans) == 1, bp
+        assert (tuple(map(float, bp)), -3.0, False) in calls
+
+
+def test_shared_solves_match_separate_solves(rotation):
+    # the recurrence states and the base-orbit states are bitwise those of
+    # separate solves over the recurrence times and over the horizon, except
+    # in the last step of the horizon solve: it ended at t = hi, the shared
+    # one goes on to hi - lo
+    import flowlab.expansive as E
+    from scipy.integrate import solve_ivp
+    from flowlab.fields import flow_points, ivp_options
+    cfg = _rotation_config(rotation)
+    lo, hi = cfg.horizon
+    _, _, orbits = E._scan_inputs(cfg)
+    for bp in cfg.base_points:
+        orbit = orbits[tuple(map(float, bp))]
+        t_nodes, x_nodes, grid, xs = orbit.states()
+        times = np.concatenate([t_nodes, grid])
+        got = np.concatenate([x_nodes, xs])
+        want = flow_points(rotation, bp, times, cfg.tol)
+        steps = solve_ivp(lambda t, y: rotation.func(y), (0.0, hi), bp,
+                          method="DOP853", **ivp_options(cfg.tol)).t
+        inner = times <= steps[-2]
+        assert got[inner].tobytes() == want[inner].tobytes()
+        assert times[~inner].size < 4 and hi in times[~inner]
+        assert np.allclose(got[~inner], want[~inner], rtol=0, atol=1e-9)
+        t_rec = np.linspace(max(1.0, 0.05 * (hi - lo)), hi - lo, 48)
+        assert orbit.recurrence.tobytes() == \
+            flow_points(rotation, bp, t_rec, cfg.tol).tobytes()
+
+
+def test_base_orbit_kept_when_only_recurrence_exits():
+    # x(t) = x0 e^t leaves [-10, 10]^2 at t = 2.5: inside (hi, hi - lo] of
+    # the horizon (-1, 2), so the base orbit stays and its recurrence pair
+    # is dropped
+    import flowlab.expansive as E
+    from flowlab.errors import EscapeError
+    from flowlab.fields import flow_points, make_field
+    saddle = make_field("linear", [1.0, 0.0, 0.0, -1.0],
+                        domain=Box([-10.0, -10.0], [10.0, 10.0]))
+    x = (10.0 * np.exp(-2.5), 0.5)
+    cfg = ScanConfig(field=saddle, base_points=(x,), horizon=(-1.0, 2.0),
+                     epsilons=(0.01,), deltas=(0.05,), budget=2, seed=0,
+                     lipschitz=1.05)
+    _, pairs, orbits = E._scan_inputs(cfg)
+    orbit = orbits[x]
+    assert orbit.recurrence is None
+    assert len(pairs) == 2  # the two perturbation pairs only
+    t_nodes, x_nodes, grid, xs = orbit.states()
+    assert np.allclose(xs[-1], [x[0] * np.exp(2.0), x[1] * np.exp(-2.0)])
+    # the separate solves break exactly the same way
+    flow_points(saddle, x, grid, cfg.tol)
+    with pytest.raises(EscapeError):
+        flow_points(saddle, x, np.linspace(1.0, 3.0, 48), cfg.tol)
+    assert expansiveness_scan(cfg, "rescaled").budget_used == 2
+
+
+def test_y_exit_before_horizon_keeps_identity(monkeypatch):
+    # y's second coordinate 2.75 e^{-t} leaves [-10, 10]^2 at t = -1.29:
+    # after the lattice start -1.6 but before the horizon start -1, so the
+    # fit is lost and the identity theta is kept
+    import flowlab.expansive as E
+    from flowlab.errors import EscapeError
+    from flowlab.fields import flow_points, make_field
+    from flowlab.reparam import Reparametrization
+    saddle = make_field("linear", [1.0, 0.0, 0.0, -1.0],
+                        domain=Box([-10.0, -10.0], [10.0, 10.0]))
+    x, y = (0.5, 2.7), np.array([0.5, 2.75])
+    cfg = ScanConfig(field=saddle, base_points=(x,), horizon=(-1.0, 1.0),
+                     epsilons=(0.01,), deltas=(0.2,), seed=0, lipschitz=1.05)
+    _, _, orbits = E._scan_inputs(cfg)
+    base = orbits[x].states()
+    t_nodes, _, grid, xs = base
+    with pytest.raises(EscapeError):
+        flow_points(saddle, y, t_nodes - 0.6, cfg.tol)
+    cands = E._evaluate_pair(saddle, np.array(x), y, cfg, "rescaled", base)
+    assert [c[0].knots.tolist() for c in cands] == \
+        [Reparametrization.identity().knots.tolist()]
+    ys = flow_points(saddle, y, grid, cfg.tol)
+    assert np.allclose(cands[0][2], ys, rtol=0, atol=1e-9)
+    assert cands[0][1] == pytest.approx(E._sup(xs, ys, np.linalg.norm(
+        saddle.func(xs), axis=1), True), rel=1e-9)
+    # leaving before the horizon start (at t = -ln 2) leaves no candidate,
+    # after one backward solve and no forward one
+    y_out = np.array([0.5, 5.0])
+    calls = _record_solves(monkeypatch)
+    assert E._evaluate_pair(saddle, np.array(x), y_out, cfg, "rescaled",
+                            base) == []
+    assert [end for _, end, _ in calls] == [pytest.approx(-1.6)]
 
 
 def test_budget_monotonicity(rotation):
@@ -201,25 +320,18 @@ def test_probe_unit_speed_region_coincides(rotation):
 
 
 def test_probe_shares_pairs_and_base_orbits(rotation, monkeypatch):
-    # the recurrence flows and the base-orbit solves do not depend on the
-    # mode: the probe makes each once, and its reports are the three scans'
-    import sys
+    # the base orbits (with their recurrence times) do not depend on the
+    # mode: the probe solves each once, and its reports are the three scans'
     import flowlab.expansive as E
     pts = ((1.0, 0.0), (0.0, 1.3), (-0.8, 0.3), (0.6, -0.9))
     cfg = ScanConfig(field=rotation, base_points=pts, horizon=(-2.0, 2.0),
                      epsilons=(0.02,), deltas=(0.05, 0.2), budget=16, seed=4,
                      lipschitz=1.05)
     want = {m: expansiveness_scan(cfg, m).to_json_dict() for m in E.MODES}
-    callers = []
-    inner = E.flow_points
-
-    def recording(field, x, times, tol=1e-9):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return inner(field, x, times, tol)
-
-    monkeypatch.setattr(E, "flow_points", recording)
+    calls = _record_solves(monkeypatch)
     probe = nonsingular_equivalence_probe(rotation, cfg)
     assert {m: r.to_json_dict() for m, r in probe.reports.items()} == want
-    assert callers.count("_candidate_pairs") == len(pts)
+    _assert_one_solve_per_sign(calls, pts, cfg.horizon, modes=len(E.MODES))
     # the 16 pairs used start at all four bases
-    assert callers.count("_base_orbit") == len(pts)
+    for bp in pts:
+        assert (tuple(map(float, bp)), -2.0, False) in calls

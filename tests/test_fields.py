@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from flowlab.errors import DomainError, EscapeError
-from flowlab.fields import (Box, _domain_event, _fd_jacobian, custom_field,
-                            estimate_lipschitz, evaluate, flow, flow_points,
-                            flow_states_batch, make_field, orbit_to_csv,
-                            sample_orbit)
+from flowlab.fields import (Box, DenseOrbit, _domain_event, _fd_jacobian,
+                            custom_field, estimate_lipschitz, evaluate, flow,
+                            flow_points, flow_states_batch, make_field,
+                            orbit_states, orbit_to_csv, sample_orbit)
 from oracles import estimate_lipschitz_loop
 
 BUILTIN_KINDS = [
@@ -79,6 +79,44 @@ def test_flow_escape_reports_exit_time(saddle2d):
     assert exc.value.exit_time is not None
     # e^t = 100 at t = ln 100
     assert exc.value.exit_time == pytest.approx(np.log(100.0), rel=1e-3)
+
+
+def test_orbit_states_keeps_what_was_reached(saddle2d):
+    # (e^t, 0.5 e^-t) leaves [-100, 100]^2 forward at t = ln 100 and
+    # backward at t = -ln 200
+    x = np.array([1.0, 0.5])
+    times = [6.0, -1.0, 1.0, 4.0, 5.0]
+    states, exit_time = orbit_states(saddle2d, x, times, 1e-10)
+    assert exit_time == pytest.approx(np.log(100.0), rel=1e-6)
+    assert np.all(np.isnan(states[[0, 4]]))
+    exact = np.stack([np.exp(times[1:4]), 0.5 * np.exp(-np.array(times[1:4]))],
+                     axis=1)
+    assert np.allclose(states[1:4], exact, rtol=1e-8, atol=0)
+    # a backward exit ends the call: the forward sign is not solved
+    states, exit_time = orbit_states(saddle2d, x, [-6.0, -1.0, 1.0], 1e-10)
+    assert exit_time == pytest.approx(-np.log(200.0), rel=1e-6)
+    assert np.all(np.isnan(states[[0, 2]])) and not np.any(np.isnan(states[1]))
+    with pytest.raises(EscapeError) as exc:
+        flow_points(saddle2d, x, times, 1e-10)
+    assert exc.value.exit_time == pytest.approx(np.log(100.0), rel=1e-6)
+
+
+def test_dense_orbit_is_bitwise_flow_points(lorenz, saddle2d):
+    # over the same span, the dense states are the t_eval states bit for bit
+    x = np.array([-5.76, -8.93, 17.36])
+    times = np.concatenate([np.linspace(-0.5, 1.5, 17), [0.3, -0.21, 0.0]])
+    orbit = DenseOrbit(lorenz, x, (-0.5, 1.5), 1e-9)
+    assert orbit.reaches(times)
+    assert orbit(times).tobytes() == \
+        flow_points(lorenz, x, times, 1e-9).tobytes()
+    # a time past the exit, or outside the span, is not reached
+    orbit = DenseOrbit(saddle2d, [1.0, 0.5], (-1.0, 6.0), 1e-10)
+    assert orbit.reaches([-1.0, 4.0]) and not orbit.reaches([5.0])
+    assert not orbit.reaches([-1.5])
+    assert orbit([4.0])[0] == pytest.approx([np.exp(4.0), 0.5 * np.exp(-4.0)],
+                                            rel=1e-8)
+    with pytest.raises(DomainError):
+        orbit([5.0])
 
 
 def test_variational_exact_on_linear_fields():

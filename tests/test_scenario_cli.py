@@ -132,6 +132,45 @@ def test_flowbox_scenario_passes(tmp_path):
     assert (tmp_path / "out" / "run-meta.json").exists()
 
 
+def test_flowbox_skips_a_base_whose_chart_leaves_the_domain(tmp_path,
+                                                          capsys):
+    # without a sample-box the second base lies near the domain edge, and
+    # its chart grid leaves the domain: it is counted, not fatal
+    p = tmp_path / "s.scn"
+    p.write_text("field rotation\n\ncommand flowbox\n  bases 2\n\nseed 0\n")
+    assert run_scenario(str(p), out=str(tmp_path / "out")) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["bases"] == len(rep["reports"]) == 1
+    assert rep["skipped_bases"] == 1
+    assert rep["reports"][0]["bounds_ok"]
+    out = capsys.readouterr().out
+    assert out.count(" PASS") == 1 and out.count(" SKIP") == 1
+
+
+def test_flowbox_without_a_verified_base_exits_2(tmp_path, capsys):
+    p = tmp_path / "s.scn"
+    p.write_text("field linear\n  matrix 1 0 0 -1\n\ncommand flowbox\n"
+                 "  bases 2\n  sample-box 95 99.9 -1 1\n\nseed 0\n")
+    assert run_scenario(str(p), out=str(tmp_path / "out")) == 2
+    assert "no base verified" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_report_does_not_depend_on_the_scenario_path(tmp_path, monkeypatch):
+    # the same scenario through two absolute paths and a relative one
+    (tmp_path / "sub").mkdir()
+    p = tmp_path / "s.scn"
+    p.write_text(SADDLE_FLOWBOX)
+    monkeypatch.chdir(tmp_path)
+    paths = (str(p), str(tmp_path / "sub" / ".." / "s.scn"), "s.scn")
+    reports = []
+    for i, path in enumerate(paths):
+        assert run_scenario(path, out=str(tmp_path / f"out{i}")) == 0
+        reports.append((tmp_path / f"out{i}" / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["scenario"]["source"] == "s.scn"
+
+
 def test_expansive_scenario_finds_violation(tmp_path):
     p = tmp_path / "s.scn"
     p.write_text(ROTATION_EXPANSIVE)

@@ -1,0 +1,62 @@
+"""The audit script runs, and what it lists is what is kept on purpose."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: `scripts/idle_options.py` output.  Kept on purpose: two private helper
+#: literals; `custom_field(jac, params)`, the only way to give a user field
+#: an analytic Jacobian; two exception annotations (pickling re-calls an
+#: exception with its message alone); `run_scenario(out)`, which the CLI
+#: passes as None without --out; and two scenario handlers that share the
+#: `(sc, field, out)` signature of the handler table without using all of
+#: it.
+ALLOWED = """\
+idle default: 4
+  fields._fd_jacobian(h=1e-06)
+  fields.custom_field(jac=None)
+  fields.custom_field(params=())
+  flowbox._check_in_box(slack=1e-09)
+filled default: 3
+  cli.run_scenario(out=None)
+  errors.HypothesisError.__init__(measured_sup=None)
+  errors.CrossingError.__init__(k=None)
+idle scenario key: 0
+unread parameter: 2
+  cli._run_fixedpoint(field)
+  cli._run_constants(out)
+"""
+
+
+def test_idle_options_lists_only_what_is_kept_on_purpose():
+    out = subprocess.run([sys.executable,
+                          str(ROOT / "scripts" / "idle_options.py")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == ALLOWED
+
+
+def test_idle_options_finds_an_unread_parameter(tmp_path):
+    # the audit gap of `_orbit_displacement(field, ...)`: a parameter that
+    # every caller passes and the body never reads
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import idle_options
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    pkg = tmp_path / "src" / "flowlab"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text(
+        "def f(field, chart, eps):\n"
+        "    g = lambda: chart\n"
+        "    eps += 1\n"
+        "    return g, eps\n\n\n"
+        "class C:\n"
+        "    def h(self, a):\n"
+        "        return 0\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("f(1, 2, 3)\nC().h(4)\n")
+    for d in ("scripts", "perfbench"):
+        (tmp_path / d).mkdir()
+    assert idle_options.scan(tmp_path)[2] == ["m.f(field)", "m.C.h(a)"]
