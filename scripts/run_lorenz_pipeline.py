@@ -27,7 +27,7 @@ from flowlab.fields import Box, estimate_lipschitz, flow_points, make_field, \
 from flowlab.hyperbolic import (check_domination, estimate_normal_splitting,
                                 flow_speed_cocycle, rebalance_sequence,
                                 trivial_cocycle)
-from flowlab.poincare import psi_ambient
+from flowlab.poincare import psi_from_flow
 from flowlab.util import mininorm, opnorm, write_json
 
 
@@ -71,8 +71,9 @@ def main():
     n = splitting.orbit.n_nodes
     norms = []
     for j in range(n - 1):
-        amb, _ = psi_ambient(field, splitting.orbit.states[j], args.t_block,
-                             args.tol)
+        # psi_T from the splitting's carried step flow of node j
+        amb = psi_from_flow(field, *splitting.node_flow(field, j, args.t_block,
+                                                        args.tol))
         norms.append((opnorm(amb @ splitting.stable[j]),
                       mininorm(amb @ splitting.unstable[j])))
     rb = rebalance_sequence(norms, eta=args.eta, i_start=0)

@@ -335,11 +335,14 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     blend in between.  Lipschitz constants are estimated per block by pair
     sampling plus the derivative-bound route; the larger estimate is kept.
     P_j is evaluated by value only: the target chart is built once per
-    block, at the image of node j that psi_T already flowed (each node is
-    flowed over T once), and each evaluation is one landing on it.
+    block, at the image of node j that psi_T already flowed, and each
+    evaluation is one landing on it.  psi_T comes from the splitting's
+    carried step flows when (T, tol) are theirs, so at the splitting's own
+    block time and tol no node is flowed over T here.
     """
     from .flowbox import make_chart
-    from .poincare import linear_poincare, section_radius, sectional_value
+    from .poincare import (linear_poincare_from_flow, section_radius,
+                           sectional_value)
 
     orbit = splitting.orbit
     dt = orbit.step()
@@ -359,7 +362,8 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     d = field.dimension
     bases_s = [splitting.stable[j] for j in range(n)]
     bases_u = [splitting.unstable[j] for j in range(n)]
-    psi_maps = [linear_poincare(field, orbit.states[j], T, tol)
+    psi_maps = [linear_poincare_from_flow(field, orbit.states[j], T,
+                                          *splitting.node_flow(field, j, T, tol))
                 for j in range(n - 1)]
     # ambient (d x d) action of psi_T from node j to node j+1
     psi_amb = [m.ambient_operator() for m in psi_maps]

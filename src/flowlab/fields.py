@@ -9,8 +9,10 @@ at `ivp_options(tol)`), and every solve at signed times through `_solve_at`
 on top of it, or through `DenseOrbit` where the times are not known before
 the solve.  Both hand back what an orbit reached before it left the domain,
 with the exit time.  The only integrator calls outside this module are the
-two in `hyperbolic._pragmatical_value`, which needs a dense solution and
-reports escapes as `DomainError`.
+two of the pragmatical cocycles in `hyperbolic`: one dense state solve per
+evaluation (`_pragmatical_product`, shared by every box of a product) and
+one direction transport per segment between box crossings
+(`_pragmatical_value`).  Both report a failed solve as `DomainError`.
 """
 
 from __future__ import annotations

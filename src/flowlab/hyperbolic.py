@@ -8,7 +8,7 @@ are finite-horizon: reports say "no violation found", never "hyperbolic".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -19,17 +19,58 @@ from .errors import (CrossingDetectionError, DegenerateProjectionError,
                      RebalanceInfeasibleError)
 from .fields import (OrbitSegment, effective_lipschitz, flow,
                      ivp_options, speed)
-from .poincare import linear_poincare, psi_ambient
+from .poincare import linear_poincare_from_flow, psi_from_flow
 from .util import mininorm, opnorm, orthonormalize, unit, write_csv
 
 
 @dataclass(frozen=True)
+class StepFlows:
+    """`flow(field, orbit.states[i], time, tol)` from every node of an orbit
+    but the last: the block-time flows that a splitting is estimated from."""
+
+    time: float
+    tol: float
+    flows: tuple          # (state, Phi) per node
+
+    def window(self, lo, n):
+        """The flows of the n-node sub-orbit that starts at node lo."""
+        return replace(self, flows=self.flows[lo:lo + n - 1])
+
+
+def step_flows(field, orbit: OrbitSegment, T_block, tol) -> StepFlows:
+    """One flow over T_block from every node but the last of an orbit whose
+    nodes are T_block apart."""
+    dt = orbit.step()
+    if abs(dt - T_block) > 1e-9 * max(1.0, abs(T_block)):
+        raise DomainError("orbit spacing must equal the block time")
+    return StepFlows(time=T_block, tol=tol, flows=tuple(
+        flow(field, x, T_block, tol) for x in orbit.states[:-1]))
+
+
+@dataclass(frozen=True)
 class NormalSplitting:
-    """Per-node stable/unstable subspaces inside the normal spaces."""
+    """Per-node stable/unstable subspaces inside the normal spaces.
+
+    `steps` holds the block-time flows of the orbit nodes, which
+    `check_domination` and `blockseq.assemble_block_system` read through
+    `node_flow` instead of flowing the nodes again.
+    """
 
     orbit: OrbitSegment
     stable: np.ndarray    # (n, d, s) orthonormal columns
     unstable: np.ndarray  # (n, d, u)
+    steps: StepFlows
+
+    def __post_init__(self):
+        if len(self.steps.flows) != self.orbit.n_nodes - 1:
+            raise DomainError("step flows must start at every node but the last")
+
+    def node_flow(self, field, i, t, tol):
+        """`flow(field, orbit.states[i], t, tol)`: the carried step flow
+        when (t, tol) are the steps' own, else a new flow."""
+        if t == self.steps.time and tol == self.steps.tol:
+            return self.steps.flows[i]
+        return flow(field, self.orbit.states[i], t, tol)
 
     @property
     def dim_s(self):
@@ -60,6 +101,7 @@ class TangentSplitting:
     orbit: OrbitSegment
     e_basis: np.ndarray  # (n, d, dim_e)
     f_basis: np.ndarray  # (n, d, dim_f)
+    steps: StepFlows     # passed on to the induced NormalSplitting
 
     @property
     def dim_e(self):
@@ -137,20 +179,24 @@ def pragmatical_cocycle(box):
 # ---------------------------------------------------------------------------
 # cocycle evaluation
 
+#: Points of the grid on which the dense orbit is scanned for box crossings.
+CROSSING_GRID = 128
+
 
 def _inside(box, x):
     return bool(np.all(x >= box.lo) and np.all(x <= box.hi))
 
 
 def _box_gap(box, x):
-    # positive inside, negative outside; zero on the boundary
-    return float(min(np.min(x - box.lo), np.min(box.hi - x)))
+    """Positive inside, negative outside, zero on the boundary; one value
+    per row of a stack of points."""
+    return np.minimum(np.min(x - box.lo, axis=-1), np.min(box.hi - x, axis=-1))
 
 
-def _find_crossings(box, sol, t, n_grid, diam):
-    """Boundary crossing times of the dense orbit interpolant on [0, t]."""
-    ts = np.linspace(0.0, t, max(int(n_grid), 16))
-    gaps = np.array([_box_gap(box, sol(s)) for s in ts])
+def _find_crossings(box, sol, ts, gaps, diam):
+    """Boundary crossing times of the dense orbit interpolant on [0, t],
+    from its box gaps on the grid ts = linspace(0, t)."""
+    t = ts[-1]
     crossings = []
     for i in range(ts.size - 1):
         a, b = ts[i], ts[i + 1]
@@ -189,23 +235,21 @@ def _find_crossings(box, sol, t, n_grid, diam):
     return crossings
 
 
-def _pragmatical_value(field, box, x, e, t, tol, n_grid):
-    """Product of direction-norm growth over the maximal inside intervals."""
-    if t == 0.0:
-        return 1.0, x, e
+def _pragmatical_value(field, box, sol, crossings, x, e, t, tol):
+    """Product of direction-norm growth over the maximal inside intervals.
+
+    The direction is transported segment by segment between crossings, and
+    only up to the last segment inside the box: the segments after it do
+    not change the value.
+    """
     d = field.dimension
-    res = solve_ivp(lambda s, y: np.asarray(field.func(y), dtype=float),
-                    (0.0, t), np.asarray(x, float), method="DOP853",
-                    **ivp_options(tol), dense_output=True)
-    if res.status != 0:
-        raise DomainError(f"orbit integration failed: {res.message}")
-    sol = res.sol
-    crossings = _find_crossings(box, sol, t, n_grid, field.domain.diameter)
-    cuts = [0.0] + sorted(crossings) + [t] if t > 0 else \
-        [0.0] + sorted(crossings, reverse=True) + [t]
+    cuts = [0.0] + sorted(crossings, reverse=bool(t < 0)) + [t]
+    segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
+                if abs(b - a) >= 1e-14]
+    inside = [_inside(box, sol(0.5 * (a + b))) for a, b in segments]
     value = 1.0
-    cur_x = np.asarray(x, dtype=float)
-    cur_e = unit(np.asarray(e, dtype=float))
+    cur_x = x
+    cur_e = unit(e)
 
     def rhs(s, y):
         xx = y[:d]
@@ -213,10 +257,8 @@ def _pragmatical_value(field, box, x, e, t, tol, n_grid):
         J = np.asarray(field.jac(xx), dtype=float)
         return np.concatenate([np.asarray(field.func(xx), dtype=float), J @ w])
 
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if abs(b - a) < 1e-14:
-            continue
-        mid = sol(0.5 * (a + b))
+    n_used = max((k + 1 for k, ins in enumerate(inside) if ins), default=0)
+    for (a, b), ins in zip(segments[:n_used], inside):
         seg = solve_ivp(rhs, (0.0, b - a), np.concatenate([cur_x, cur_e]),
                         method="DOP853", **ivp_options(tol))
         if seg.status != 0:
@@ -225,14 +267,49 @@ def _pragmatical_value(field, box, x, e, t, tol, n_grid):
         cur_x = yend[:d]
         w = yend[d:]
         growth = float(np.linalg.norm(w))
-        if _inside(box, mid):
+        if ins:
             value *= growth
         cur_e = w / growth
-    return value, cur_x, cur_e
+    return value
 
 
-def evaluate_cocycle(field, spec: CocycleSpec, x, e, t, tol=1e-9, n_grid=128):
-    """Value h_t at the direction e over x; satisfies the cocycle identity."""
+def _pragmatical_product(field, boxes, x, e, t, tol):
+    """Product of the pragmatical values of `boxes` at (x, e, t), all read
+    from one dense state solve and one interpolant call on the crossing
+    grid."""
+    res = solve_ivp(lambda s, y: np.asarray(field.func(y), dtype=float),
+                    (0.0, t), x, method="DOP853", **ivp_options(tol),
+                    dense_output=True)
+    if res.status != 0:
+        raise DomainError(f"orbit integration failed: {res.message}")
+    sol = res.sol
+    ts = np.linspace(0.0, t, CROSSING_GRID)
+    grid = sol(ts).T
+    value = 1.0
+    for box in boxes:
+        crossings = _find_crossings(box, sol, ts, _box_gap(box, grid),
+                                    field.domain.diameter)
+        value *= _pragmatical_value(field, box, sol, crossings, x, e, t, tol)
+    return value
+
+
+def _flow_speed_value(field, x, end):
+    """Flow-speed cocycle of a flow from x that ends at `end`."""
+    s0 = speed(field, x)
+    if s0 <= field.singular_speed():
+        raise DomainError("flow-speed cocycle is undefined at a singularity")
+    return float(speed(field, end) / s0)
+
+
+def evaluate_cocycle(field, spec: CocycleSpec, x, e, t, tol=1e-9):
+    """Value h_t at the direction e over x; satisfies the cocycle identity.
+
+    A pragmatical cocycle, or a product of them, costs one dense state
+    solve for all its boxes, plus one direction transport per segment
+    between box crossings up to the last segment inside a box; an orbit
+    that stays outside every box is not transported.  Crossings are
+    scanned on a grid of `CROSSING_GRID` points.
+    """
     x = np.asarray(x, dtype=float)
     e = unit(np.asarray(e, dtype=float))
     if t == 0.0:
@@ -241,37 +318,29 @@ def evaluate_cocycle(field, spec: CocycleSpec, x, e, t, tol=1e-9, n_grid=128):
         return 1.0
     if spec.kind == "flow_speed":
         state, _ = flow(field, x, t, tol)
-        s0 = speed(field, x)
-        if s0 <= field.singular_speed():
-            raise DomainError("flow-speed cocycle is undefined at a singularity")
-        return float(speed(field, state) / s0)
+        return _flow_speed_value(field, x, state)
     if spec.kind == "pragmatical":
-        value, _, _ = _pragmatical_value(field, spec.box, x, e, t, tol, n_grid)
-        return value
+        return _pragmatical_product(field, (spec.box,), x, e, t, tol)
     if spec.kind == "product":
-        out = 1.0
-        for f in spec.factors:
-            out *= evaluate_cocycle(field, f, x, e, t, tol, n_grid)
-        return out
+        if any(f.kind != "pragmatical" for f in spec.factors):
+            raise DomainError("product factors must be pragmatical")
+        # unit(e) once more: the direction each factor's own evaluation
+        # normalized, which keeps the transported bits
+        return _pragmatical_product(field, [f.box for f in spec.factors],
+                                    x, unit(e), t, tol)
     raise DomainError(f"unknown cocycle kind {spec.kind!r}")
 
 
-def evolve_direction(field, x, e, t, tol=1e-9):
-    """(phi_t(x), normalized variational image of e)."""
-    state, Phi = flow(field, np.asarray(x, float), t, tol)
-    return state, unit(Phi @ unit(np.asarray(e, float)))
+def _cocycle_with_flow(field, spec, x, e, t, tol, end):
+    """`evaluate_cocycle`, with the flow-speed value read from `end`, the
+    endpoint of `flow(field, x, t, tol)` that the caller already made."""
+    if spec.kind == "flow_speed":
+        return _flow_speed_value(field, x, end)
+    return evaluate_cocycle(field, spec, x, e, t, tol)
 
 
 # ---------------------------------------------------------------------------
 # splitting estimation
-
-
-def _step_maps(orbit, T_block, step):
-    """step(x) at every node but the last of an orbit spaced by T_block."""
-    dt = orbit.step()
-    if abs(dt - T_block) > 1e-9 * max(1.0, abs(T_block)):
-        raise DomainError("orbit spacing must equal the block time")
-    return [step(orbit.states[i]) for i in range(orbit.n_nodes - 1)]
 
 
 def _aligned_matrices(maps):
@@ -339,8 +408,9 @@ def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
     if nd < 2 or dim_s < 1 or dim_u < 1:
         raise NoDominationError(
             "normal bundle admits no nontrivial splitting in this dimension")
-    maps = _step_maps(orbit, T_block,
-                      lambda x: linear_poincare(field, x, T_block, tol))
+    steps = step_flows(field, orbit, T_block, tol)
+    maps = [linear_poincare_from_flow(field, x, T_block, state, Phi)
+            for x, (state, Phi) in zip(orbit.states, steps.flows)]
     mats, frames = _aligned_matrices(maps)
     _require_gap(mats, dim_u)
 
@@ -361,7 +431,8 @@ def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
     stable = np.stack([frames[i].basis @ stable_coords[i] for i in range(n)])
     unstable = np.stack([frames[i].basis @ unstable_coords[i] for i in range(n)])
     return NormalSplitting(orbit=window, stable=stable[keep],
-                           unstable=unstable[keep])
+                           unstable=unstable[keep],
+                           steps=steps.window(warmup, window.n_nodes))
 
 
 def estimate_tangent_splitting(field, orbit: OrbitSegment, dim_e: int,
@@ -372,14 +443,16 @@ def estimate_tangent_splitting(field, orbit: OrbitSegment, dim_e: int,
     dim_f = d - dim_e
     if dim_e < 1 or dim_f < 1:
         raise NoDominationError("tangent splitting dimensions out of range")
-    mats = _step_maps(orbit, T_block, lambda x: flow(field, x, T_block, tol)[1])
+    steps = step_flows(field, orbit, T_block, tol)
+    mats = [Phi for _, Phi in steps.flows]
     _require_gap(mats, dim_f)
     gen = np.random.default_rng(0x5EED)
     F = orthonormalize(gen.normal(size=(d, dim_f)))
     E = orthonormalize(gen.normal(size=(d, dim_e)))
     window, keep, f_list, e_list = _power_sweeps(orbit, mats, F, E, warmup)
     return TangentSplitting(orbit=window, e_basis=np.stack(e_list)[keep],
-                            f_basis=np.stack(f_list)[keep])
+                            f_basis=np.stack(f_list)[keep],
+                            steps=steps.window(warmup, window.n_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +506,11 @@ def check_domination(field, splitting: NormalSplitting, cocycles, C, lam,
     multiple of the orbit spacing so image nodes carry splitting data, and
     shorter than the orbit window, so that some node pair is measured.
     Margins are bound/value ratios (>= 1 passes); nothing is raised.
+
+    Each (node, t) takes one forward and one backward flow, and a
+    flow-speed cocycle reads its speed ratio from their endpoints.  At the
+    splitting's own (T_block, tol) the forward flow is the carried step
+    flow, so only the backward one is integrated.
     """
     h_s, h_u = cocycles
     orbit = splitting.orbit
@@ -458,17 +536,20 @@ def check_domination(field, splitting: NormalSplitting, cocycles, C, lam,
         for i in range(n - k):
             x = orbit.states[i]
             x_img = orbit.states[i + k]
-            fwd, _ = psi_ambient(field, x, t, tol)
-            bwd, _ = psi_ambient(field, x_img, -t, tol)
+            end, Phi = splitting.node_flow(field, i, t, tol)
+            end_back, Phi_back = flow(field, x_img, -t, tol)
+            fwd = psi_from_flow(field, end, Phi)
+            bwd = psi_from_flow(field, end_back, Phi_back)
             ns = opnorm(fwd @ splitting.stable[i])
             mu = mininorm(fwd @ splitting.unstable[i])
             nb = opnorm(bwd @ splitting.unstable[i + k])
             product = ns * nb
             e0 = unit(np.asarray(field.func(x), dtype=float))
             e_img = unit(np.asarray(field.func(x_img), dtype=float))
-            hs_val = evaluate_cocycle(field, h_s, x, e0, t, tol)
-            hu_back = evaluate_cocycle(field, h_u, x_img, e_img, -t, tol)
-            hu_fwd = evaluate_cocycle(field, h_u, x, e0, t, tol)
+            hs_val = _cocycle_with_flow(field, h_s, x, e0, t, tol, end)
+            hu_back = _cocycle_with_flow(field, h_u, x_img, e_img, -t, tol,
+                                         end_back)
+            hu_fwd = _cocycle_with_flow(field, h_u, x, e0, t, tol, end)
             contraction = hs_val * ns
             expansion_back = hu_back * nb
             dom_margin = bound / max(product, 1e-300)
@@ -532,7 +613,7 @@ def induce_from_tangent_splitting(field, tangent: TangentSplitting,
         comp = np.linalg.svd(np.eye(c.size) - np.outer(c, c))[0][:, :c.size - 1]
         unstable.append(orthonormalize(F @ comp))
     split = NormalSplitting(orbit=orbit, stable=np.stack(stable),
-                            unstable=np.stack(unstable))
+                            unstable=np.stack(unstable), steps=tangent.steps)
     return split, flow_speed_cocycle()
 
 

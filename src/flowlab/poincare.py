@@ -105,11 +105,17 @@ def _transport_basis(basis, Phi, e_target):
 def linear_poincare(field, x, t, tol=1e-9) -> NormalMap:
     """Orthogonal projection of the variational flow between normal spaces."""
     x = np.asarray(x, dtype=float)
-    src = frame_at(field, x)
     if t == 0.0:
+        src = frame_at(field, x)
         return NormalMap(source=src, target=src,
                          matrix=np.eye(field.dimension - 1))
-    state, Phi = flow(field, x, t, tol)
+    return linear_poincare_from_flow(field, x, t, *flow(field, x, t, tol))
+
+
+def linear_poincare_from_flow(field, x, t, state, Phi) -> NormalMap:
+    """`linear_poincare(field, x, t, tol)` from its flow: `(state, Phi)` is
+    `flow(field, x, t, tol)`, with t != 0."""
+    src = frame_at(field, x)
     if speed(field, state) <= field.singular_speed():
         raise SingularityError(f"endpoint of flow at t={t} is singular", time=t)
     e1 = unit(np.asarray(field.func(state), dtype=float))
@@ -149,10 +155,15 @@ def psi_ambient(field, x, t, tol=1e-9):
     Returns (matrix, endpoint state).  The matrix annihilates nothing useful
     on the flow line; restrict it to normal vectors.
     """
-    x = np.asarray(x, dtype=float)
-    state, Phi = flow(field, x, t, tol)
+    state, Phi = flow(field, np.asarray(x, dtype=float), t, tol)
+    return psi_from_flow(field, state, Phi), state
+
+
+def psi_from_flow(field, state, Phi):
+    """The `psi_ambient` matrix of a flow that ends at `state` with
+    variational matrix Phi."""
     e1 = unit(np.asarray(field.func(state), dtype=float))
-    return Phi - np.outer(e1, e1 @ Phi), state
+    return Phi - np.outer(e1, e1 @ Phi)
 
 
 def section_radius(t, L) -> float:

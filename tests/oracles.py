@@ -6,15 +6,21 @@ search, with none of its algorithm: `brute_force_bottleneck` against
 `verify_box_bounds_loop` is the per-node loop form of
 `flowbox.verify_box_bounds`: the same arithmetic, one grid node at a time.
 `estimate_lipschitz_loop` is the per-sample loop form of
-`fields.estimate_lipschitz`.
+`fields.estimate_lipschitz`.  `domination_entries_loop` is
+`hyperbolic.check_domination`'s entries computed as two `psi_ambient` and
+three `evaluate_cocycle` calls per (node, t), each with its own flow.
+`evolve_direction` moves a direction with the variational flow, for the
+cocycle identity h(x, s+t) = h(x, s) h(phi_s x, t).
 """
 
 import numpy as np
 
 from flowlab.errors import NoPathError
-from flowlab.fields import LIPSCHITZ_SAFETY, speeds
+from flowlab.fields import LIPSCHITZ_SAFETY, flow, speeds
 from flowlab.flowbox import BoxBoundsReport, _ball_grid, _time_frames
-from flowlab.util import orthonormalize
+from flowlab.hyperbolic import evaluate_cocycle
+from flowlab.poincare import psi_ambient
+from flowlab.util import mininorm, opnorm, orthonormalize, unit
 
 _STEPS = ((1, 0), (0, 1), (1, 1))
 
@@ -158,3 +164,39 @@ def verify_box_bounds_loop(chart, grid: int, tol=1e-9,
                            max_norm=max_norm, no_singularity=no_sing,
                            bounds_ok=bounds_ok, fd_slack=fd_slack,
                            witnesses=witnesses)
+
+
+def evolve_direction(field, x, e, t, tol=1e-9):
+    """(phi_t(x), normalized variational image of e)."""
+    state, Phi = flow(field, np.asarray(x, float), t, tol)
+    return state, unit(Phi @ unit(np.asarray(e, float)))
+
+
+def domination_entries_loop(field, splitting, cocycles, C, lam, T_grid, tol):
+    """The per-(node, t) values of `check_domination`'s entries, with a new
+    flow for every psi and cocycle evaluation."""
+    h_s, h_u = cocycles
+    orbit = splitting.orbit
+    entries = []
+    for t in T_grid:
+        k = int(round(t / orbit.step()))
+        bound = C * np.exp(-lam * t)
+        for i in range(orbit.n_nodes - k):
+            x, x_img = orbit.states[i], orbit.states[i + k]
+            fwd, _ = psi_ambient(field, x, t, tol)
+            bwd, _ = psi_ambient(field, x_img, -t, tol)
+            ns = opnorm(fwd @ splitting.stable[i])
+            nb = opnorm(bwd @ splitting.unstable[i + k])
+            e0 = unit(np.asarray(field.func(x), dtype=float))
+            e_img = unit(np.asarray(field.func(x_img), dtype=float))
+            entries.append({
+                "node": i, "t": float(t),
+                "domination_product": ns * nb,
+                "contraction": evaluate_cocycle(field, h_s, x, e0, t, tol) * ns,
+                "expansion_backward":
+                    evaluate_cocycle(field, h_u, x_img, e_img, -t, tol) * nb,
+                "rescaled_expansion":
+                    evaluate_cocycle(field, h_u, x, e0, t, tol)
+                    * mininorm(fwd @ splitting.unstable[i]),
+                "bound": float(bound)})
+    return entries

@@ -22,15 +22,15 @@ from flowlab.fields import (Box, estimate_lipschitz, make_field, sample_orbit,
                             speed)
 from flowlab.flowbox import chart_radius
 from flowlab.hyperbolic import (CocycleSpec, TangentSplitting,
-                                evaluate_cocycle, evolve_direction,
-                                flow_speed_cocycle,
+                                evaluate_cocycle, flow_speed_cocycle,
                                 induce_from_tangent_splitting,
-                                pragmatical_cocycle, trivial_cocycle)
+                                pragmatical_cocycle, step_flows,
+                                trivial_cocycle)
 from flowlab.poincare import linear_poincare, psi_ambient, sectional_poincare
 from flowlab.reparam import (drift_trials, lattice_bottleneck,
                              orbit_time_control_trials)
 from flowlab.util import mininorm
-from oracles import brute_force_bottleneck
+from oracles import brute_force_bottleneck, evolve_direction
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
@@ -232,7 +232,8 @@ def test_c6_induced_expansion_mechanism():
     f_basis[:, 1, 0] = 1.0
     f_basis[:, 2, 1] = 1.0
     split, h_u = induce_from_tangent_splitting(
-        diag3, TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis))
+        diag3, TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis,
+                                steps=step_flows(diag3, orbit, 0.5, 1e-12)))
     worst = 0.0
     for T in (0.5, 1.0, 2.0):
         amb, _ = psi_ambient(diag3, orbit.states[0], T, tol=1e-13)

@@ -9,7 +9,8 @@ from flowlab.blockseq import (BlockSequenceSystem, angle, angle_with_flag,
                               solve_fixed_point, solve_hyperbolic_operator)
 from flowlab.errors import DivergenceError, DomainError, NoCertificateError
 from flowlab.fields import Box, make_field, sample_orbit
-from flowlab.hyperbolic import NormalSplitting, rebalance_sequence
+from flowlab.hyperbolic import (NormalSplitting, rebalance_sequence,
+                                step_flows)
 from oracles import angle_brute
 
 
@@ -189,7 +190,8 @@ def diag_assembly():
     st_[:, 0, 0] = 1.0
     un = np.zeros((n, 3, 1))
     un[:, 1, 0] = 1.0
-    spl = NormalSplitting(orbit=orbit, stable=st_, unstable=un)
+    spl = NormalSplitting(orbit=orbit, stable=st_, unstable=un,
+                          steps=step_flows(g, orbit, T, 1e-11))
     rb = rebalance_sequence([(np.exp(-3.0), np.exp(-1.0))] * (n - 1),
                             eta=0.8, i_start=0)
     res = assemble_block_system(g, spl, rb, T, epsilon=1e-3, L=1.05,
@@ -244,7 +246,11 @@ def test_assembly_never_differentiates_the_sectional_map(diag_assembly,
 
 
 def test_assembly_flows_each_node_once(diag_assembly, monkeypatch):
-    # psi_T's flow of (x_j, T) also places the target chart; no second one
+    # the splitting's step flow of (x_j, T) is psi_T's flow and also places
+    # the target chart; no second one, from the splitting on
+    import dataclasses
+
+    import flowlab.hyperbolic as H
     import flowlab.poincare as P
     g, spl, rb, _ = diag_assembly
     seen = {}
@@ -256,6 +262,8 @@ def test_assembly_flows_each_node_once(diag_assembly, monkeypatch):
         return inner(field, x, t, tol)
 
     monkeypatch.setattr(P, "flow", counting_flow)
+    monkeypatch.setattr(H, "flow", counting_flow)
+    spl = dataclasses.replace(spl, steps=step_flows(g, spl.orbit, 1.0, 1e-11))
     assemble_block_system(g, spl, rb, 1.0, epsilon=1e-3, L=1.05, tol=1e-11,
                           lip_samples=8, enforce_radius=False)
     for j in range(spl.orbit.n_nodes - 1):
@@ -348,3 +356,22 @@ def test_lorenz_pipeline_end_to_end(lorenz):
             for j in range(n)]
     fp = solve_fixed_point(res.system, init, tol=1e-11)
     assert fp.converged and fp.final_norm <= 1e-11
+
+
+def test_lorenz_pipeline_script_runs(tmp_path):
+    # scripts/run_lorenz_pipeline.py end to end on a short orbit
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "run_lorenz_pipeline.py"
+    subprocess.run([sys.executable, str(script), "--blocks", "10",
+                    "--lip-samples", "8", "--out", str(tmp_path)],
+                   check=True, capture_output=True)
+    report = json.loads((tmp_path / "pipeline.json").read_text())
+    assert sorted(report) == ["L", "alpha", "domination", "eta", "feasible",
+                              "fixed_point", "kappa", "lip", "rebalance",
+                              "xi_required"]
+    assert report["fixed_point"]["converged"]

@@ -1,28 +1,38 @@
+import sys
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from flowlab import fields, hyperbolic
 from flowlab.errors import (CrossingDetectionError, DomainError,
                             FlowDirectionError, NoDominationError,
                             RebalanceInfeasibleError)
-from flowlab.fields import Box, make_field, sample_orbit
+from flowlab.fields import Box, flow_points, ivp_options, make_field, \
+    sample_orbit
 from flowlab.hyperbolic import (CocycleSpec, NormalSplitting, TangentSplitting,
                                 check_domination, estimate_normal_splitting,
                                 estimate_tangent_splitting, evaluate_cocycle,
-                                evolve_direction, flow_speed_cocycle,
+                                flow_speed_cocycle,
                                 induce_from_tangent_splitting,
                                 pragmatical_cocycle, rebalance_sequence,
-                                trivial_cocycle)
+                                step_flows, trivial_cocycle)
 from flowlab.poincare import psi_ambient
 from flowlab.util import mininorm
+from oracles import domination_entries_loop, evolve_direction
+
+#: Isolating boxes of acceptance check C5, around the origin and around C+.
+C5_BOXES = (Box([-6, -6, -2], [6, 6, 12]), Box([4, 4, 20], [13, 13, 34]))
 
 
-def _eigen_splitting(orbit, stable_axis=0, unstable_axis=1):
+def _eigen_splitting(field, orbit, tol, stable_axis=0, unstable_axis=1):
     n = orbit.n_nodes
     s = np.zeros((n, 3, 1))
     u = np.zeros((n, 3, 1))
     s[:, stable_axis, 0] = 1.0
     u[:, unstable_axis, 0] = 1.0
-    return NormalSplitting(orbit=orbit, stable=s, unstable=u)
+    return NormalSplitting(orbit=orbit, stable=s, unstable=u,
+                           steps=step_flows(field, orbit, orbit.step(), tol))
 
 
 # ----------------------------------------------------- splitting estimation
@@ -87,7 +97,7 @@ def test_isometric_normal_cocycle_rejected(saddle_susp):
 def test_domination_flow_speed_cocycle(diag_mixed):
     orbit = sample_orbit(diag_mixed, np.array([0.0, 0.0, 1.0]),
                          np.arange(5) * 0.5, tol=1e-12)
-    spl = _eigen_splitting(orbit)
+    spl = _eigen_splitting(diag_mixed, orbit, 1e-12)
     rep = check_domination(diag_mixed, spl,
                            (trivial_cocycle(), flow_speed_cocycle()),
                            1.05, 0.4, [0.5, 1.0, 2.0], tol=1e-12)
@@ -102,7 +112,7 @@ def test_domination_flow_speed_cocycle(diag_mixed):
 def test_domination_trivial_cocycle_fails_expansion(diag_mixed):
     orbit = sample_orbit(diag_mixed, np.array([0.0, 0.0, 1.0]),
                          np.arange(5) * 0.5, tol=1e-12)
-    spl = _eigen_splitting(orbit)
+    spl = _eigen_splitting(diag_mixed, orbit, 1e-12)
     rep = check_domination(diag_mixed, spl,
                            (trivial_cocycle(), trivial_cocycle()),
                            1.05, 1.4, [0.5, 1.0], tol=1e-12)
@@ -113,13 +123,119 @@ def test_domination_trivial_cocycle_fails_expansion(diag_mixed):
 def test_domination_requires_grid_on_nodes(diag_mixed):
     orbit = sample_orbit(diag_mixed, np.array([0.0, 0.0, 1.0]),
                          np.arange(4) * 0.5, tol=1e-11)
-    spl = _eigen_splitting(orbit)
+    spl = _eigen_splitting(diag_mixed, orbit, 1e-9)
     # 0.7 is off the node spacing; 2.0 spans the whole 4-node window
     for t_grid in ([0.7], [2.0]):
         with pytest.raises(DomainError):
             check_domination(diag_mixed, spl,
                              (trivial_cocycle(), flow_speed_cocycle()),
                              1.05, 0.4, t_grid)
+
+
+def _lorenz_splitting(lorenz, burn, tol=1e-10):
+    """A 3-node splitting window (T_block 0.5, warmup 1) of a burnt-in
+    Lorenz orbit."""
+    x0 = flow_points(lorenz, np.array([1.0, 1.0, 1.0]), [burn], tol)[0]
+    orbit = sample_orbit(lorenz, x0, np.arange(5) * 0.5, tol=tol)
+    return estimate_normal_splitting(lorenz, orbit, 1, 0.5, tol=tol, warmup=1)
+
+
+def _c5_product():
+    return CocycleSpec(kind="product", factors=tuple(
+        pragmatical_cocycle(b) for b in C5_BOXES))
+
+
+class _Calls:
+    """Every `fields.flow` call, by (start, t), and every solve_ivp call of
+    `hyperbolic`, by (t_span, dense)."""
+
+    def __init__(self, monkeypatch):
+        self.flows = []
+        self.solves = []
+        inner_flow, inner_solve = fields.flow, hyperbolic.solve_ivp
+
+        def flow(field, x, t, tol=1e-9):
+            self.flows.append((np.asarray(x, dtype=float).tobytes(), float(t)))
+            return inner_flow(field, x, t, tol)
+
+        def solve(fun, t_span, y0, **kwargs):
+            self.solves.append((tuple(map(float, t_span)),
+                                bool(kwargs.get("dense_output"))))
+            return inner_solve(fun, t_span, y0, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("flowlab") and getattr(mod, "flow", None) is inner_flow:
+                monkeypatch.setattr(mod, "flow", flow)
+        monkeypatch.setattr(hyperbolic, "solve_ivp", solve)
+
+
+def test_domination_flows_once_per_node_and_time(lorenz, monkeypatch):
+    # burn 8: the window and its images over |t| <= 1 stay outside both C5
+    # boxes, so the product is 1 and needs no direction transport
+    tol = 1e-10
+    spl = _lorenz_splitting(lorenz, 8.0, tol)
+    product = _c5_product()
+    states = spl.orbit.states
+    for i in range(3):
+        for t in (0.5, 1.0, -0.5, -1.0):
+            assert evaluate_cocycle(lorenz, product, states[i], [1, 0, 0], t,
+                                    tol) == 1.0
+    pairs = [(i, 0.5) for i in range(2)] + [(0, 1.0)]
+    expected = sorted([(states[i + int(t / 0.5)].tobytes(), -t)
+                       for i, t in pairs] + [(states[0].tobytes(), 1.0)])
+    for h_u, dense in ((flow_speed_cocycle(), 0), (product, 2 * len(pairs))):
+        calls = _Calls(monkeypatch)
+        check_domination(lorenz, spl, (trivial_cocycle(), h_u), 8.0, 0.05,
+                         [0.5, 1.0], tol)
+        # no forward flow at T_block; one backward flow per (node, t); one
+        # forward flow per node at t = 1.0, shared by psi and the cocycle
+        assert sorted(calls.flows) == expected
+        # one dense solve per product evaluation, and no transport
+        assert len(calls.solves) == dense
+        assert all(is_dense for _, is_dense in calls.solves)
+        monkeypatch.undo()
+
+
+def test_transport_stops_at_the_last_inside_segment(diag3, monkeypatch):
+    # enter the box at t = ln(4)/3, leave at ln(500)/2 < 3.5: the segment
+    # after the exit is not transported
+    box = Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])
+    calls = _Calls(monkeypatch)
+    v = evaluate_cocycle(diag3, pragmatical_cocycle(box), [2.0, 0.0, 1e-3],
+                         [0, 0, 1], 3.5, tol=1e-11)
+    assert v == pytest.approx(np.exp(np.log(500.0) - 2 * np.log(4.0) / 3.0),
+                              rel=1e-6)
+    assert [is_dense for _, is_dense in calls.solves] == [True, False, False]
+
+
+@pytest.mark.parametrize("burn", [8.0, 13.0])
+def test_domination_entries_match_per_flow_loop(lorenz, burn):
+    # burn 13 crosses the C5 boxes, so the product leg transports
+    tol = 1e-10
+    spl = _lorenz_splitting(lorenz, burn, tol)
+    for h_u in (flow_speed_cocycle(), _c5_product()):
+        cocycles = (trivial_cocycle(), h_u)
+        rep = check_domination(lorenz, spl, cocycles, 8.0, 0.05, [0.5, 1.0],
+                               tol)
+        loop = domination_entries_loop(lorenz, spl, cocycles, 8.0, 0.05,
+                                       [0.5, 1.0], tol)
+        assert len(rep.entries) == len(loop) == 3
+        for got, want in zip(rep.entries, loop):
+            for key, value in want.items():
+                assert repr(got[key]) == repr(value), key
+
+
+def test_crossing_grid_is_bitwise_per_point(lorenz, lorenz_attractor_point):
+    # one interpolant call on the whole grid against one call per point
+    for t in (1.2, -0.4):
+        sol = solve_ivp(lambda s, y: lorenz.func(y), (0.0, t),
+                        lorenz_attractor_point, method="DOP853",
+                        **ivp_options(1e-10), dense_output=True).sol
+        ts = np.linspace(0.0, t, hyperbolic.CROSSING_GRID)
+        for box in C5_BOXES:
+            grid = hyperbolic._box_gap(box, sol(ts).T)
+            loop = np.array([hyperbolic._box_gap(box, sol(s)) for s in ts])
+            assert grid.tobytes() == loop.tobytes()
 
 
 # ------------------------------------------------------- induced splitting
@@ -134,7 +250,8 @@ def test_induce_diagonal_model(diag3):
     f_basis = np.zeros((n, 3, 2))
     f_basis[:, 1, 0] = 1.0
     f_basis[:, 2, 1] = 1.0
-    tangent = TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis)
+    tangent = TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis,
+                               steps=step_flows(diag3, orbit, 0.5, 1e-12))
     split, h_u = induce_from_tangent_splitting(diag3, tangent)
     assert h_u.kind == "flow_speed"
     assert abs(split.stable[0][0, 0]) == pytest.approx(1.0)
@@ -157,7 +274,8 @@ def test_induce_orthogonal_projection_is_identity(diag3):
     f_basis = np.zeros((n, 3, 2))
     f_basis[:, 1, 0] = 1.0
     f_basis[:, 2, 1] = 1.0
-    tangent = TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis)
+    tangent = TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis,
+                               steps=step_flows(diag3, orbit, 0.5, 1e-12))
     split, _ = induce_from_tangent_splitting(diag3, tangent)
     for i in range(n):
         assert np.allclose(np.abs(split.stable[i]), e_basis[i], atol=1e-12)
@@ -172,7 +290,8 @@ def test_induce_rejects_flow_outside_f(diag3):
     f_basis = np.zeros((n, 3, 2))
     f_basis[:, 0, 0] = 1.0
     f_basis[:, 1, 1] = 1.0   # flow direction e3 not in F
-    tangent = TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis)
+    tangent = TangentSplitting(orbit=orbit, e_basis=e_basis, f_basis=f_basis,
+                               steps=step_flows(diag3, orbit, 0.5, 1e-12))
     with pytest.raises(FlowDirectionError):
         induce_from_tangent_splitting(diag3, tangent)
 
@@ -252,12 +371,13 @@ def test_cocycle_identity_negative_time(diag3):
     assert v_fwd * v_back == pytest.approx(1.0, rel=1e-9)
 
 
-def test_tangential_crossing_detected(rotation):
+def test_tangential_crossing_detected(rotation, monkeypatch):
     # unit circle grazes the box face x = 1 at (1, 0)
+    monkeypatch.setattr(hyperbolic, "CROSSING_GRID", 512)
     spec = pragmatical_cocycle(Box([-2.0, -2.0], [1.0, 2.0]))
     with pytest.raises(CrossingDetectionError):
         evaluate_cocycle(rotation, spec, [0.0, -1.0], [1.0, 0.0], 3.0,
-                         tol=1e-11, n_grid=512)
+                         tol=1e-11)
 
 
 def test_product_requires_disjoint_boxes(lorenz):
