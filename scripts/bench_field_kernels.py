@@ -4,7 +4,12 @@
 For every builtin field kind, prints microseconds per call of
 `func` (one point), `jac` (one point), the variational right-hand side
 `_augmented_rhs` and the domain event `_domain_event`, each the best of
-five timed batches on one thread.  Run from the repository root:
+five timed batches on one thread.  A second table times one flow layer:
+one state-only and one variational solve over SPAN with the domain event,
+through flowlab's DOP853 kernel (`fields.solve_ivp`) and through scipy's
+`solve_ivp(method="DOP853")`, as microseconds per right-hand-side
+evaluation (best of five solves; both make the same evaluations).  Run
+from the repository root:
 
     python3 scripts/bench_field_kernels.py
 """
@@ -15,6 +20,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import sys
+import time
 import timeit
 from pathlib import Path
 
@@ -22,7 +28,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from flowlab.fields import _augmented_rhs, _domain_event, make_field  # noqa: E402
+from scipy.integrate import solve_ivp as scipy_solve_ivp  # noqa: E402
+
+from flowlab.fields import (_augmented_rhs, _domain_event,  # noqa: E402
+                            ivp_options, make_field, solve_ivp)
 
 FIELDS = (
     ("linear", [-3.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 2.0], [0.3, -0.2, 0.5]),
@@ -32,11 +41,29 @@ FIELDS = (
 )
 CALLS = 20000
 REPEATS = 5
+SPAN = 2.0
+TOL = 1e-9
 
 
 def per_call_us(fn, *args):
     best = min(timeit.repeat(lambda: fn(*args), number=CALLS, repeat=REPEATS))
     return 1e6 * best / CALLS
+
+
+def scipy_dop853(fun, t_span, y0, **kwargs):
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", **kwargs)
+
+
+def per_eval_us(solver, rhs, y0, event):
+    """(nfev, best microseconds per RHS evaluation) of one solve."""
+    event.terminal = True  # scipy's flag; flowlab's event is terminal
+    best, nfev = float("inf"), 0
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        nfev = solver(rhs, (0.0, SPAN), y0, **ivp_options(TOL),
+                      events=event).nfev
+        best = min(best, time.perf_counter() - start)
+    return nfev, 1e6 * best / nfev
 
 
 def main():
@@ -50,6 +77,21 @@ def main():
                per_call_us(_augmented_rhs(field), 0.0, y),
                per_call_us(_domain_event(field), 0.0, x))
         print(f"{kind:<18} " + " ".join(f"{v:8.2f}" for v in row))
+    print()
+    print(f"{'kind':<18} {'solve':<12} {'nfev':>6} {'flowlab':>8} "
+          f"{'scipy':>8}  (us/RHS evaluation)")
+    for kind, params, point in FIELDS:
+        field = make_field(kind, params)
+        x = np.array(point)
+        d = field.dimension
+        for name, rhs, y0 in (
+                ("state", lambda t, y: field.func(y), x),
+                ("variational", _augmented_rhs(field),
+                 np.concatenate([x, np.eye(d).ravel()]))):
+            row = [per_eval_us(solver, rhs, y0, _domain_event(field))
+                   for solver in (solve_ivp, scipy_dop853)]
+            (nfev, mine), (_, ref) = row
+            print(f"{kind:<18} {name:<12} {nfev:>6} {mine:8.2f} {ref:8.2f}")
 
 
 if __name__ == "__main__":

@@ -4,12 +4,17 @@ All dynamics live on an axis-aligned box in R^d with the Euclidean metric.
 The flow map and its derivative are integrated jointly as one augmented ODE
 so the tangent data is always consistent with the state trajectory.
 
-Every integration of this module goes through one kernel, `_solve` (DOP853
-at `ivp_options(tol)`), and every solve at signed times through `_solve_at`
-on top of it, or through `DenseOrbit` where the times are not known before
-the solve.  Both hand back what an orbit reached before it left the domain,
-with the exit time.  The only integrator calls outside this module are the
-two of the pragmatical cocycles in `hyperbolic`: one dense state solve per
+Every integration of flowlab runs on one DOP853 kernel of its own,
+`solve_ivp`: scipy's `solve_ivp(method="DOP853")` repeated operation for
+operation on scipy's tableau, so its results are bitwise scipy's, without
+scipy's per-stage wrappers.  Its dense output (`DenseSolution`) also
+evaluates a single time on Python floats, with the same bits.  In this
+module every solve goes through `_solve` (at `ivp_options(tol)`, with a
+terminal domain event), and every solve at signed times through
+`_solve_at` on top of it, or through `DenseOrbit` where the times are not
+known before the solve.  Both hand back what an orbit reached before it
+left the domain, with the exit time.  `hyperbolic` calls the kernel
+directly for the pragmatical cocycles: one dense state solve per
 evaluation (`_pragmatical_product`, shared by every box of a product) and
 one direction transport per segment between box crossings
 (`_pragmatical_value`).  Both report a failed solve as `DomainError`.
@@ -17,12 +22,15 @@ one direction transport per segment between box crossings
 
 from __future__ import annotations
 
+import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
 
 from .errors import DomainError, EscapeError, StiffnessError
 from .util import write_csv
@@ -332,6 +340,8 @@ def speeds(field, X):
 
 
 def _domain_event(field):
+    """The solve's terminal event: the least margin of the state (the first
+    d entries) to the domain's faces."""
     lo, hi = field.domain.lo.tolist(), field.domain.hi.tolist()
     d = field.dimension
 
@@ -339,7 +349,24 @@ def _domain_event(field):
         x = y[:d].tolist()
         return min(min(map(operator.sub, x, lo)), min(map(operator.sub, hi, x)))
 
-    event.terminal = True
+    return event
+
+
+#: Slack of a batch's range check, in domain diameters.
+_BATCH_SLACK = 1e-9
+
+
+def _batch_domain_event(field):
+    """The terminal event of stacked orbits: the least margin of any of
+    them to the domain padded by `_BATCH_SLACK`."""
+    pad = _BATCH_SLACK * field.domain.diameter
+    lo, hi = field.domain.lo - pad, field.domain.hi + pad
+    d = field.dimension
+
+    def event(t, y):
+        Y = y.reshape(-1, d)
+        return min(float(np.min(Y - lo)), float(np.min(hi - Y)))
+
     return event
 
 
@@ -354,17 +381,268 @@ def _augmented_rhs(field):
     return rhs
 
 
-def _solve(rhs, y0, t, tol, what, t_eval=None, event=None, dense=False):
+# ---------------------------------------------------------------------------
+# the DOP853 kernel (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
+
+_N = _dop.N_STAGES
+#: (row of K, stage coefficients, node) of the stages after the first, and
+#: of the three extra stages of the dense output; the coefficient rows are
+#: the very arrays that scipy's DOP853 passes to `np.dot`.
+_STAGES = tuple((s, _dop.A[s, :s], float(_dop.C[s])) for s in range(1, _N))
+_EXTRA = tuple((s, _dop.A[s, :s], float(_dop.C[s]))
+               for s in range(_N + 1, _dop.N_STAGES_EXTENDED))
+_EPS = np.finfo(float).eps
+_MESSAGES = {0: "The solver successfully reached the end of the "
+                "integration interval.",
+             1: "A termination event occurred.",
+             -1: "Required step size is less than spacing between numbers."}
+
+
+@dataclass(frozen=True)
+class IvpResult:
+    """What `solve_ivp` returns: output times and states (n, m), the dense
+    solution (or None), the terminal event's root list (or None), status
+    0 (end reached), 1 (event) or -1 (step underflow), and the number of
+    right-hand-side evaluations."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: Optional["DenseSolution"]
+    t_events: Optional[list]
+    status: int
+    message: str
+    nfev: int
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, tf, f0, direction, rtol, atol):
+    """The first step size (Hairer et al., II.4), for error order 7."""
+    span = abs(tf - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return float(min(100 * h0, h1, span))
+
+
+def _interp(F, y_old, x):
+    """DOP853 dense output (m, n) at step fractions x (m,); F holds the
+    coefficients (7, n) of one step, or of each point's step (m, 7, n)."""
+    x = x[:, None]
+    y = np.zeros((x.shape[0], F.shape[-1]))
+    for i in range(7):
+        y += F[..., 6 - i, :]
+        y *= x if i % 2 == 0 else 1 - x
+    y += y_old
+    return y
+
+
+class DenseSolution:
+    """The piecewise interpolant of a dense solve: step i covers
+    [ts[i], ts[i+1]], and a time outside [ts[0], ts[-1]] is extrapolated
+    from the nearest step.  A stack of times is evaluated in one pass; a
+    single time on Python floats, with the same operations."""
+
+    def __init__(self, ts, steps):
+        self.ts = np.array(ts, dtype=float)
+        self._ascending = ts[-1] >= ts[0]
+        self._sorted = self.ts if self._ascending else self.ts[::-1]
+        self._side = "left" if self._ascending else "right"
+        self._find = bisect_left if self._ascending else bisect_right
+        self._sorted_list = self._sorted.tolist()
+        self._t_old, self._h, self._y_old, self._F = (
+            np.array(v) for v in zip(*steps))
+        self._rows = {}
+
+    def __call__(self, t):
+        """States (n,) at a time, or (n, m) at times (m,)."""
+        if np.ndim(t) == 0:
+            return self._at(float(t))
+        t = np.asarray(t, dtype=float)
+        last = self._h.size - 1
+        seg = np.clip(np.searchsorted(self._sorted, t, self._side) - 1, 0,
+                      last)
+        seg = seg if self._ascending else last - seg
+        x = (t - self._t_old[seg]) / self._h[seg]
+        return _interp(self._F[seg], self._y_old[seg], x).T
+
+    def _at(self, t):
+        last = self._h.size - 1
+        i = min(max(self._find(self._sorted_list, t) - 1, 0), last)
+        i = i if self._ascending else last - i
+        if i not in self._rows:  # per coordinate: F[6], ..., F[0], y_old
+            self._rows[i] = (float(self._t_old[i]), float(self._h[i]), list(
+                zip(*self._F[i, ::-1].tolist(), self._y_old[i].tolist())))
+        t_old, h, rows = self._rows[i]
+        x = (t - t_old) / h
+        x1 = 1 - x
+        # _interp's operations, in its order
+        return np.array([
+            ((((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x
+               + f1) * x1 + f0) * x + y0)
+            for f6, f5, f4, f3, f2, f1, f0, y0 in rows])
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None,
+              dense_output=False):
+    """One DOP853 solve of y' = fun(t, y) over t_span: scipy's
+    `solve_ivp(method="DOP853")`, operation for operation, so the results
+    are bitwise scipy's, without its per-stage wrappers.
+
+    Keeps scipy's step controller (safety 0.9, step factors in [0.2, 10],
+    error exponent -1/8) and its `t_eval` and `nfev` accounting.  `events`
+    is one terminal event function or None; its root is found by `brentq`
+    on the step's dense output.
+    """
+    t0, tf = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    n = y.size
+    K = np.empty((_dop.N_STAGES_EXTENDED, n))
+    K[_N] = fun(t0, y)  # K[_N] holds the derivative at the step's end
+    if tf == t0:  # no step: the solution is its start
+        t_out = np.array([t0, t0] if t_eval is None else t_eval, dtype=float)
+        return IvpResult(t_out, np.repeat(y[:, None], t_out.size, axis=1),
+                         None, None if events is None else [np.empty(0)], 0,
+                         _MESSAGES[0], 1)
+    direction = 1.0 if tf > t0 else -1.0
+    stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+    extra = [(s, K[:s].T, a, c) for s, a, c in _EXTRA]
+    KB, KE = K[:_N].T, K[:_N + 1].T
+    h_abs = _initial_step(fun, t0, y, tf, K[_N], direction, rtol, atol)
+    nfev = 2
+
+    def dense(t_old, y_old, y_new, h):
+        """The step's interpolant coefficients (7, n): three more stages."""
+        nonlocal nfev
+        for s, KT, a, c in extra:
+            K[s] = fun(t_old + c * h, y_old + KT.dot(a) * h)
+        nfev += 3
+        F = np.empty((7, n))
+        delta = y_new - y_old
+        F[0] = delta
+        F[1] = h * K[0] - delta
+        F[2] = 2 * delta - h * (K[_N] + K[0])
+        F[3:] = h * np.dot(_dop.D, K)
+        return F
+
+    ts, ys, seg_ts, steps, roots = [], [], [t0], [], []
+    if t_eval is None:
+        ts, ys = [t0], [y]
+    else:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if direction < 0:
+            t_eval = t_eval[::-1]
+        grid = t_eval.tolist()
+        i_eval = 0 if direction > 0 else len(grid)
+    g = None if events is None else events(t0, y)
+    t, status = t0, None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        K[0] = K[_N]
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+            for s, KT, a, c in stages:
+                K[s] = fun(t + c * h, y + KT.dot(a) * h)
+            y_new = y + h * KB.dot(_dop.B)
+            K[_N] = fun(t + h, y_new)
+            nfev += 12
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = KE.dot(_dop.E5) / scale
+            err3 = KE.dot(_dop.E3) / scale
+            # np.linalg.norm(err)**2, as scipy squares it
+            e5, e3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(
+                    10, 0.9 * error_norm ** (-1 / 8))
+                h_abs *= float(min(1, factor) if rejected else factor)
+                break
+            h_abs *= float(max(0.2, 0.9 * error_norm ** (-1 / 8)))
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old, t, y = t, y, t_new, y_new
+        if direction * (t - tf) >= 0:
+            status = 0
+        F = dense(t_old, y_old, y_new, h) if dense_output else None
+        if events is not None:
+            g_new = events(t, y)
+            if g <= 0 <= g_new or g >= 0 >= g_new:
+                if F is None:
+                    F = dense(t_old, y_old, y_new, h)
+
+                def at(s):
+                    return _interp(F, y_old, np.array([(s - t_old) / h]))[0]
+
+                root = brentq(lambda s: events(s, at(s)), t_old, t,
+                              xtol=4 * _EPS, rtol=4 * _EPS)
+                roots.append(root)
+                status, t, y = 1, root, at(root)
+            g = g_new
+        if t_eval is None:
+            if dense_output and len(ts) > 1 and ts[-1] == t:
+                continue  # an event root at the step's start: no segment
+            ts.append(t)
+            ys.append(y)
+        else:
+            if direction > 0:
+                j = bisect_right(grid, t)
+                frames = t_eval[i_eval:j]
+            else:
+                j = bisect_left(grid, t)
+                frames = t_eval[j:i_eval][::-1]
+            if frames.size:
+                if F is None:
+                    F = dense(t_old, y_old, y_new, h)
+                ts.append(frames)
+                ys.append(_interp(F, y_old, (frames - t_old) / h).T)
+                i_eval = j
+        if dense_output:
+            steps.append((t_old, h, y_old, F))
+            seg_ts.append(t)
+    if t_eval is None:
+        t_out, y_out = np.array(ts), np.vstack(ys).T
+    elif ts:
+        t_out, y_out = np.hstack(ts), np.hstack(ys)
+    else:
+        t_out, y_out = np.empty(0), np.empty((n, 0))
+    return IvpResult(t_out, y_out,
+                     DenseSolution(seg_ts, steps) if steps else None,
+                     None if events is None else [np.array(roots)], status,
+                     _MESSAGES[status], nfev)
+
+
+def _solve(rhs, y0, t, tol, what, event, t_eval=None, dense=False):
     """The integration kernel: one DOP853 solve over [0, t].
 
-    Returns (solution, exit time).  A terminal event ends the solve at its
+    Returns (solution, exit time).  The terminal event ends the solve at its
     time, and the solution holds what was reached before it: the `t_eval`
     states up to the exit, or with `dense` the step interpolants up to it.
     The exit time is None when the solve reaches t; any other solver
     failure raises StiffnessError.
     """
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", **ivp_options(tol),
-                    t_eval=t_eval, events=event, dense_output=dense)
+    sol = solve_ivp(rhs, (0.0, t), y0, **ivp_options(tol), t_eval=t_eval,
+                    events=event, dense_output=dense)
     if sol.status == 1:
         return sol, float(sol.t_events[0][0])
     if sol.status != 0:
@@ -398,9 +676,8 @@ def _solve_at(field, rhs, y0, times, tol, what):
             continue
         rows = rows[::-1] if back else rows
         sol, exit_time = _solve(rhs, y0, float(ts[rows[-1]]), tol, what,
-                                t_eval=ts[rows], event=_domain_event(field))
-        vals = np.asarray(sol.y, dtype=float).reshape(y0.size, -1).T
-        out[rows[:len(vals)]] = vals
+                                _domain_event(field), t_eval=ts[rows])
+        out[rows[:sol.t.size]] = sol.y.T
         if exit_time is not None:
             break
     return out[inv], exit_time
@@ -422,7 +699,7 @@ def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
     y0 = np.concatenate([x, np.eye(d).ravel()])
     what = f"flow of {field.name} to t={t}"
     sol, exit_time = _solve(_augmented_rhs(field), y0, t, tol, what,
-                            event=_domain_event(field))
+                            _domain_event(field))
     _check_exit(what, exit_time)
     y = sol.y[:, -1]
     return y[:d], y[d:].reshape(d, d)
@@ -456,12 +733,13 @@ def flow_points(field, x, times, tol=1e-9):
 class DenseOrbit:
     """The orbit of x on a time span [lo, hi] that contains 0.
 
-    One dense solve per time sign, with the domain event on, made when a
-    call first needs that sign (backward first).  A solve that leaves the
-    domain stops at its exit time, and the orbit reaches only the times
-    strictly before it.  A state is bitwise the `flow_points` one at its
-    time, unless that time lies in the last step of the shorter
-    `flow_points` solve.
+    One dense kernel solve per time sign, with the domain event on, made
+    when a call first needs that sign (backward first); its states come
+    from the solve's `DenseSolution` in one stacked evaluation per call.
+    A solve that leaves the domain stops at its exit time, and the orbit
+    reaches only the times strictly before it.  A state is bitwise the
+    `flow_points` one at its time, unless that time lies in the last step
+    of the shorter `flow_points` solve.
     """
 
     def __init__(self, field, x, span, tol):
@@ -478,7 +756,7 @@ class DenseOrbit:
                 lambda t, y: self.field.func(y), self.x,
                 self.span[sign > 0], self.tol,
                 f"dense orbit of {self.field.name}",
-                event=_domain_event(self.field), dense=True)
+                _domain_event(self.field), dense=True)
             self._halves[sign] = (sol.sol, exit_time)
         return self._halves[sign]
 
@@ -514,9 +792,10 @@ class DenseOrbit:
 def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
     """Integrate a stack of initial states over the same time span.
 
-    No domain events are installed (intended for chart-local batches);
-    every returned frame is range-checked instead: the final states, or
-    each frame at `t_eval`.
+    Every accepted step and every returned frame (the final states, or
+    each frame at `t_eval`) is range-checked against the domain padded by
+    `_BATCH_SLACK`; a member that leaves it raises EscapeError, with the
+    exit time when a step end found it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k, d = points.shape
@@ -531,12 +810,14 @@ def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
                              for row in Y]).ravel()
 
     tev = None if t_eval is None else np.asarray(t_eval, dtype=float)
-    sol, _ = _solve(rhs, points.ravel(), float(t), tol,
-                    "batched orbit integration", t_eval=tev)
+    what = "batched orbit integration"
+    sol, exit_time = _solve(rhs, points.ravel(), float(t), tol, what,
+                            _batch_domain_event(field), t_eval=tev)
+    _check_exit(what, exit_time)
     states = sol.y.T.reshape(-1, k, d)
     if t_eval is None:
         states = states[-1]
-    if not field.domain.contains(states, slack=1e-9):
+    if not field.domain.contains(states, slack=_BATCH_SLACK):
         raise EscapeError("a batched orbit left the domain")
     return states
 

@@ -12,13 +12,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (CrossingDetectionError, DegenerateProjectionError,
                      DomainError, FlowDirectionError, NoDominationError,
                      RebalanceInfeasibleError)
 from .fields import (OrbitSegment, effective_lipschitz, flow,
-                     ivp_options, speed)
+                     ivp_options, solve_ivp, speed)
 from .poincare import linear_poincare_from_flow, psi_from_flow
 from .util import mininorm, opnorm, orthonormalize, unit, write_csv
 
@@ -258,9 +257,10 @@ def _pragmatical_value(field, box, sol, crossings, x, e, t, tol):
         return np.concatenate([np.asarray(field.func(xx), dtype=float), J @ w])
 
     n_used = max((k + 1 for k, ins in enumerate(inside) if ins), default=0)
+    opts = ivp_options(tol)
     for (a, b), ins in zip(segments[:n_used], inside):
         seg = solve_ivp(rhs, (0.0, b - a), np.concatenate([cur_x, cur_e]),
-                        method="DOP853", **ivp_options(tol))
+                        rtol=opts["rtol"], atol=opts["atol"])
         if seg.status != 0:
             raise DomainError(f"direction transport failed: {seg.message}")
         yend = seg.y[:, -1]
@@ -277,8 +277,9 @@ def _pragmatical_product(field, boxes, x, e, t, tol):
     """Product of the pragmatical values of `boxes` at (x, e, t), all read
     from one dense state solve and one interpolant call on the crossing
     grid."""
+    opts = ivp_options(tol)
     res = solve_ivp(lambda s, y: np.asarray(field.func(y), dtype=float),
-                    (0.0, t), x, method="DOP853", **ivp_options(tol),
+                    (0.0, t), x, rtol=opts["rtol"], atol=opts["atol"],
                     dense_output=True)
     if res.status != 0:
         raise DomainError(f"orbit integration failed: {res.message}")

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from flowlab.errors import DomainError, EscapeError
-from flowlab.fields import (Box, DenseOrbit, _domain_event, _fd_jacobian,
-                            custom_field, estimate_lipschitz, evaluate, flow,
-                            flow_points, flow_states_batch, make_field,
-                            orbit_states, orbit_to_csv, sample_orbit)
+from flowlab.fields import (Box, DenseOrbit, _augmented_rhs, _domain_event,
+                            _fd_jacobian, custom_field, estimate_lipschitz,
+                            evaluate, flow, flow_points, flow_states_batch,
+                            ivp_options, make_field, orbit_states,
+                            orbit_to_csv, sample_orbit, solve_ivp)
 from oracles import estimate_lipschitz_loop
 
 BUILTIN_KINDS = [
@@ -295,12 +296,15 @@ def test_domain_event_matches_array_formula(kind, params):
 
 def test_flow_states_batch_checks_every_frame(rotation):
     # the orbit of (9.9, 9.9) passes (0, 14.0) at pi/4, outside [-10, 10]^2,
-    # and is back inside at pi/2
+    # and is back inside at pi/2: every accepted step is range-checked, so
+    # the exit is found without a frame outside, at y = 10 (+ the slack)
     with pytest.raises(EscapeError):
         flow_states_batch(rotation, [[9.9, 9.9]], np.pi / 2,
                           t_eval=[np.pi / 4, np.pi / 2])
-    end = flow_states_batch(rotation, [[9.9, 9.9]], np.pi / 2)
-    assert np.allclose(end, [[-9.9, 9.9]])
+    with pytest.raises(EscapeError) as exc:
+        flow_states_batch(rotation, [[9.9, 9.9]], np.pi / 2)
+    t_exit = np.arcsin(10.0 / (9.9 * np.sqrt(2.0))) - np.pi / 4
+    assert exc.value.exit_time == pytest.approx(t_exit, rel=1e-6)
 
 
 def test_flow_states_batch_escape_slack():
@@ -316,6 +320,77 @@ def test_flow_states_batch_escape_slack():
         else:
             out = flow_states_batch(field, pts, t, tol=1e-12)
             assert out[1, 0] == pytest.approx(1.0 + overshoot, abs=1e-11)
+
+
+# ------------------------------------------------- the kernel against scipy
+
+
+def _same_solve(fun, t, y0, tol, event=None, grid=None, **kw):
+    """flowlab's DOP853 kernel and scipy's `solve_ivp(method="DOP853")` on
+    the same problem: the same output bytes, event roots and nfev, and the
+    same dense output on `grid`, one stacked call and one call per time.
+    Returns flowlab's result."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    if event is not None:
+        event.terminal = True  # scipy's flag; flowlab's event is terminal
+    mine = solve_ivp(fun, (0.0, t), y0, **ivp_options(tol), events=event, **kw)
+    ref = scipy_solve_ivp(fun, (0.0, t), y0, method="DOP853",
+                          **ivp_options(tol), events=event, **kw)
+    assert (mine.status, mine.nfev) == (ref.status, ref.nfev)
+    assert np.asarray(mine.t).tobytes() == np.asarray(ref.t).tobytes()
+    assert np.asarray(mine.y).tobytes() == np.asarray(ref.y).tobytes()
+    if event is not None:
+        assert mine.t_events[0].tobytes() == ref.t_events[0].tobytes()
+    if grid is not None:
+        assert mine.sol(grid).tobytes() == ref.sol(grid).tobytes()
+        for s in grid:
+            assert mine.sol(s).tobytes() == ref.sol(s).tobytes()
+    return mine
+
+
+def test_kernel_is_bitwise_scipy(lorenz, saddle2d, lorenz_attractor_point):
+    x = lorenz_attractor_point
+    state = lambda s, y: lorenz.func(y)  # noqa: E731
+    for t in (3.0, -0.5):
+        frames = np.linspace(0.0, t, 41)[1:]
+        _same_solve(state, t, x, 1e-9, _domain_event(lorenz), t_eval=frames)
+        _same_solve(state, t, x, 1e-10, _domain_event(lorenz),
+                    np.linspace(-0.1 * t, 1.1 * t, 301), dense_output=True)
+    # the 12-dimensional variational equation
+    y0 = np.concatenate([x, np.eye(3).ravel()])
+    _same_solve(_augmented_rhs(lorenz), 0.7, y0, 1e-9, _domain_event(lorenz))
+    # a stacked batch of 16 members
+    pts = x + np.random.default_rng(3).normal(scale=0.5, size=(16, 3))
+    _same_solve(lambda s, y: lorenz.func(y.reshape(16, 3)).ravel(), 1.0,
+                pts.ravel(), 1e-9, t_eval=[0.25, 0.5, 1.0])
+    # (e^t, 0.5 e^-t) leaves [-100, 100]^2 at t = ln 100: the root, and the
+    # states up to it
+    line = lambda s, y: saddle2d.func(y)  # noqa: E731
+    for kw in ({"t_eval": np.linspace(0.0, 6.0, 25)[1:]},
+               {"dense_output": True}, {}):
+        sol = _same_solve(line, 6.0, np.array([1.0, 0.5]), 1e-10,
+                          _domain_event(saddle2d), **kw)
+        assert sol.status == 1
+        assert sol.t_events[0][0] == pytest.approx(np.log(100.0), rel=1e-9)
+        assert np.all(sol.t <= sol.t_events[0][0])
+    # a span shorter than the first step: one step, clipped to the span
+    sol = _same_solve(state, 1e-5, x, 1e-9, _domain_event(lorenz),
+                      np.linspace(0.0, 1e-5, 7), dense_output=True)
+    assert sol.t.tolist() == [0.0, 1e-5]
+
+
+def test_dense_output_scalar_path_is_the_array_path(lorenz,
+                                                    lorenz_attractor_point):
+    # one time on Python floats against a stack of times, at the step ends,
+    # between them and past both ends of the span
+    for t in (1.5, -0.8):
+        sol = solve_ivp(lambda s, y: lorenz.func(y), (0.0, t),
+                        lorenz_attractor_point, **ivp_options(1e-10),
+                        dense_output=True).sol
+        times = np.concatenate([sol.ts, np.linspace(-0.1 * t, 1.1 * t, 995)])
+        stacked = sol(times)
+        for i, s in enumerate(times):
+            assert sol(s).tobytes() == stacked[:, i].tobytes()
 
 
 ORACLE_CASES = [
@@ -362,9 +437,28 @@ def test_integration_modes_match_closed_form(kind, params, domain, x0):
     exact, exact_Phi = _exact_flow(field, x, -0.6)
     assert close(state, exact) and close(Phi, exact_Phi)
 
+    # stacks of 1 and 3 members of sizes 1, 1e-2 and 1e-4, at frames of
+    # both signs: each member within its own size
+    for k in (1, 3):
+        stack = x * np.array([1.0, 1e-2, 1e-4])[:k, None]
+        for frames in ([0.25, 0.5, 0.7], [-0.3, -1.0]):
+            got = flow_states_batch(field, stack, frames[-1], tol,
+                                    t_eval=frames)
+            for frame, t in zip(got, frames):
+                for member, p in zip(frame, stack):
+                    exact = _exact_flow(field, p, t)[0]
+                    assert np.max(np.abs(member - exact)) <= \
+                        1e-8 * np.max(np.abs(exact))
+
+    # the dense orbit's states
+    orbit = DenseOrbit(field, x, (-1.0, 0.7), tol)
+    for t, state in zip(times, orbit(times)):
+        assert close(state, _exact_flow(field, x, t)[0])
+
     # each sign branch reports its exit time: the exact orbit is on the
     # boundary of the box there
     lo, hi = field.domain.lo, field.domain.hi
+    center = 0.5 * (lo + hi)
     for T in (20.0, -20.0):
         with pytest.raises(EscapeError) as exc:
             flow_points(field, x, [T], tol)
@@ -372,3 +466,9 @@ def test_integration_modes_match_closed_form(kind, params, domain, x0):
         assert t_exit is not None and 0.0 < t_exit / T < 1.0
         exact, _ = _exact_flow(field, x, t_exit)
         assert abs(min(np.min(exact - lo), np.min(hi - exact))) <= 1e-6
+        # in a batch with the domain's center, which stays inside longer,
+        # x escapes between two frames: the step check reports its exit
+        with pytest.raises(EscapeError) as exc:
+            flow_states_batch(field, [center, x], T, tol,
+                              t_eval=[0.5 * t_exit, T])
+        assert exc.value.exit_time == pytest.approx(t_exit, rel=1e-6)
