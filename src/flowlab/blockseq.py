@@ -207,25 +207,6 @@ def solve_linear_part(system, w):
     return solve_hyperbolic_operator(system, rows_s, rows_u)
 
 
-def estimate_solve_norm(system, n_probes=32, seed=0):
-    """Probing lower estimate of the sup-norm of (I - L)^{-1}."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(n_probes):
-        rows_s = []
-        rows_u = []
-        for j in range(system.n_blocks):
-            rows_s.append(rng.normal(size=system.bases_s[j].shape[1]))
-            rows_u.append(rng.normal(size=system.bases_u[j].shape[1]))
-        # normalize the row data as one sup-norm element of the block space
-        w = [system.unsplit(j, rows_s[j], rows_u[j]) for j in range(system.n_blocks)]
-        scale = system.sup_norm(w)
-        w = [v / scale for v in w]
-        sol = solve_linear_part(system, w)
-        best = max(best, system.sup_norm(sol))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # fixed-point iteration
 
@@ -335,14 +316,14 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     blend in between.  Lipschitz constants are estimated per block by pair
     sampling plus the derivative-bound route; the larger estimate is kept.
     P_j is evaluated by value only: the target chart is built once per
-    block, at the image of node j that psi_T already flowed, and each
-    evaluation is one landing on it.  psi_T comes from the splitting's
-    carried step flows when (T, tol) are theirs, so at the splitting's own
-    block time and tol no node is flowed over T here.
+    block by `target_chart`, on the state-only image of node j, and each
+    evaluation is one state-only landing on it, so phi_j(0) is exactly 0.
+    psi_T comes from the splitting's carried step flows when (T, tol) are
+    theirs, so at the splitting's own block time and tol no node's
+    variational system is integrated over T here.
     """
-    from .flowbox import make_chart
     from .poincare import (linear_poincare_from_flow, section_radius,
-                           sectional_value)
+                           sectional_value, target_chart)
 
     orbit = splitting.orbit
     dt = orbit.step()
@@ -397,7 +378,7 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
         A_j, D_j = A[j], D[j]
         bj, bj1 = b[j], b[j + 1]
         e_j = np.asarray(field.func(x_j), dtype=float) / speed_j
-        chart1 = make_chart(field, psi_maps[j].target.point, L)
+        chart1 = target_chart(field, x_j, T, L, tol)
 
         def block_linear(v):
             coords = Mj_pinv @ v
@@ -414,8 +395,9 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
             value, _ = sectional_value(field, x_j, T, w, chart1, tol)
             return beta * value + (1.0 - beta) * lin
 
-        # phi_j(0) = 0 exactly: x_j + 0 lands on the chart base, where
-        # flowbox_invert returns v = 0 without a Newton step
+        # phi_j(0) = 0 exactly: x_j + 0 lands on the chart base (the same
+        # state-only flow), where flowbox_invert returns v = 0 without a
+        # Newton step
         def phi(v):
             return bj1 * extended_section(v / bj) - block_linear(v)
 

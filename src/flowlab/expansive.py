@@ -221,8 +221,8 @@ def _evaluate_pair(field, x, y, config, mode, base):
     The candidates are the theta fitted on the sheared lattice around the
     identity, and the identity.  y gets one dense solve per time sign over
     the lattice span, which serves the lattice, the identity and the fitted
-    theta; when y leaves the domain before the horizon start, no forward
-    solve is made and no candidate is left.
+    theta; when y starts outside the domain or leaves it before the
+    horizon start, no forward solve is made and no candidate is left.
     """
     t_nodes, x_nodes, grid, xs = base
     rescale = mode == "rescaled"
@@ -234,6 +234,8 @@ def _evaluate_pair(field, x, y, config, mode, base):
     width = max(config.deltas) * 3.0 + 1e-12
     offsets = np.linspace(-width, width, max(3, int(config.lattice[1])))
     theta_nodes = t_nodes[:, None] + offsets[None, :]
+    if not field.domain.contains(y, slack=1e-12):
+        return []
     orbit = DenseOrbit(field, y, (theta_nodes.min(), theta_nodes.max()),
                        config.tol)
     try:

@@ -33,7 +33,6 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 from .errors import DomainError, EscapeError, StiffnessError
-from .util import write_csv
 
 #: Floor applied to Lipschitz constants everywhere downstream, so the chart
 #: radius 1/(10 L) stays finite for near-constant fields.
@@ -233,13 +232,14 @@ def _lorenz_field(params, domain):
         out[..., 2] = x1 * x2 - beta * x3
         return out
 
+    # the constant entries once; a call copies them and sets the other four
+    J0 = np.array([[-sigma, sigma, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -beta]])
+
     def jac(x):
         x1, x2, x3 = np.asarray(x, dtype=float).tolist()
-        return np.array([
-            [-sigma, sigma, 0.0],
-            [rho - x3, -1.0, -x1],
-            [x2, x1, -beta],
-        ])
+        J = J0.copy()
+        J[1, 0], J[1, 2], J[2, 0], J[2, 1] = rho - x3, -x1, x2, x1
+        return J
 
     return VectorFieldSpec("lorenz", 3, (sigma, rho, beta), domain, func, jac,
                            kind="lorenz", vectorized=True)
@@ -371,12 +371,16 @@ def _batch_domain_event(field):
 
 
 def _augmented_rhs(field):
+    """The right-hand side of the state with its variational matrix, y =
+    (x, Phi row by row): (X(x), DX(x) Phi), written into one new buffer."""
     d = field.dimension
 
     def rhs(t, y):
         x = y[:d]
-        Phi = y[d:].reshape(d, d)
-        return np.concatenate([field.func(x), (field.jac(x) @ Phi).ravel()])
+        out = np.empty((d + 1, d))
+        out[0] = field.func(x)
+        np.matmul(field.jac(x), y[d:].reshape(d, d), out=out[1:])
+        return out.ravel()
 
     return rhs
 
@@ -657,15 +661,25 @@ def _check_exit(what, exit_time):
                           exit_time=exit_time)
 
 
+def _check_start(field, x):
+    """DomainError unless x lies in the domain (up to 1e-12 diameters).
+
+    The domain event only sees a sign change, so an orbit that starts
+    outside and stays there would never be flagged by it."""
+    if not field.domain.contains(x, slack=1e-12):
+        raise DomainError(f"initial point {x.tolist()} outside domain")
+
+
 def _solve_at(field, rhs, y0, times, tol, what):
     """(solutions (n, len(y0)) at signed times in input order, exit time).
 
     One solve per time sign over the distinct times, backward first, with
-    the domain event on; y0 is the value at t = 0.  A solve that leaves the
-    domain ends the call at its exit time, which is returned (else None):
-    the rows of the times it did not reach, and of a sign not yet solved,
-    are NaN.
+    the domain event on; y0 is the value at t = 0, and its state (the first
+    d entries) must lie in the domain.  A solve that leaves the domain ends
+    the call at its exit time, which is returned (else None): the rows of
+    the times it did not reach, and of a sign not yet solved, are NaN.
     """
+    _check_start(field, y0[:field.dimension])
     ts, inv = np.unique(np.asarray(times, dtype=float), return_inverse=True)
     out = np.full((ts.size, y0.size), np.nan)
     out[ts == 0] = y0
@@ -692,8 +706,7 @@ def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
     """
     x = np.asarray(x, dtype=float)
     d = field.dimension
-    if not field.domain.contains(x, slack=1e-12):
-        raise DomainError(f"initial point {x.tolist()} outside domain")
+    _check_start(field, x)
     if t == 0.0:
         return x.copy(), np.eye(d)
     y0 = np.concatenate([x, np.eye(d).ravel()])
@@ -712,7 +725,8 @@ def orbit_states(field, x, times, tol=1e-9):
     order, and a repeated time repeats its state.  If the orbit leaves the
     domain, the states reached before that are kept, the rows of the times
     past the exit (and of a sign not yet solved) are NaN, and the exit time
-    is returned; it is None when every time is reached.
+    is returned; it is None when every time is reached.  A start outside
+    the domain raises DomainError, as in `flow`.
     """
     return _solve_at(field, lambda t, y: field.func(y),
                      np.asarray(x, dtype=float), times, tol,
@@ -739,12 +753,14 @@ class DenseOrbit:
     A solve that leaves the domain stops at its exit time, and the orbit
     reaches only the times strictly before it.  A state is bitwise the
     `flow_points` one at its time, unless that time lies in the last step
-    of the shorter `flow_points` solve.
+    of the shorter `flow_points` solve.  A start outside the domain raises
+    DomainError, as in `flow`.
     """
 
     def __init__(self, field, x, span, tol):
         self.field = field
         self.x = np.asarray(x, dtype=float)
+        _check_start(field, self.x)
         self.span = (min(float(span[0]), 0.0), max(float(span[1]), 0.0))
         self.tol = tol
         self._halves = {}
@@ -907,14 +923,6 @@ def sample_orbit(field, x, times, tol=1e-9, variational=False) -> OrbitSegment:
                         speeds=speeds(field, states), variational=var)
 
 
-def orbit_to_csv(segment: OrbitSegment, path):
-    d = segment.states.shape[1]
-    header = ["t"] + [f"x_{i+1}" for i in range(d)] + ["speed"]
-    rows = [[segment.times[i], *segment.states[i], segment.speeds[i]]
-            for i in range(segment.n_nodes)]
-    write_csv(path, header, rows)
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz estimation and point sampling
 
@@ -949,7 +957,7 @@ def sample_regular_points(field, box: Box, n, seed=0, burn=0.0, tol=1e-9):
         try:
             if burn > 0.0:
                 x = flow_points(field, x, [burn], tol)[0]
-        except (EscapeError, StiffnessError):
+        except (DomainError, EscapeError, StiffnessError):
             continue
         if not field.domain.contains(x):
             continue

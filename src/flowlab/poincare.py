@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusError, SingularityError
-from .fields import effective_lipschitz, flow, speed
+from .fields import effective_lipschitz, flow, flow_points, speed
 from .flowbox import FlowboxChart, chart_radius, flowbox_invert, make_chart
 from .util import orthonormal_complement, orthonormalize, unit
 
@@ -188,13 +188,13 @@ def target_chart(field, x, T, L, tol=1e-9) -> FlowboxChart:
 
     It depends only on (x, T, L), so a caller that evaluates the sectional
     map from one base point many times builds it once and passes it to
-    every `sectional_value` call.  A caller that already flowed x for T
-    with the same tol (e.g. `linear_poincare(field, x, T, tol).target.point`)
-    gets the same chart from `make_chart(field, image, L)` without this
-    second flow.
+    every `sectional_value` call.  Its base is the state-only landing of
+    w = 0, bit for bit, so the sectional value at 0 is exactly 0; the
+    endpoint of a variational flow of x (e.g.
+    `linear_poincare(field, x, T, tol).target.point`) may differ from it
+    in the last digits and does not give this chart.
     """
-    x1, _ = flow(field, np.asarray(x, dtype=float), T, tol)
-    return make_chart(field, x1, L)
+    return make_chart(field, _flow_state(field, x, T, tol), L)
 
 
 def _check_normal(field, x, w):
@@ -207,18 +207,27 @@ def _check_normal(field, x, w):
         raise RadiusError("v is not a normal vector at x")
 
 
+def _flow_state(field, x, T, tol):
+    """The time-T image of x, by a state-only flow (no tangent data)."""
+    return flow_points(field, np.asarray(x, dtype=float), [T], tol)[0]
+
+
 def _land(field, x, T, w, chart1, tol):
-    """Chart coordinates (v, s) on chart1 of the time-T image of x + w."""
-    state, _ = flow(field, x + w, T, tol)
-    return flowbox_invert(chart1, state, tol=tol)
+    """Chart coordinates (v, s) on chart1 of the time-T image of x + w.
+
+    One state-only flow and one chart inversion; at w = 0 the image is the
+    base of `target_chart(field, x, T, L, tol)` bit for bit."""
+    return flowbox_invert(chart1, _flow_state(field, x + w, T, tol), tol=tol)
 
 
 def sectional_value(field, x, T, w, chart1, tol=1e-9):
-    """Value of the sectional map at the normal vector w: one landing.
+    """Value of the sectional map at the normal vector w: one landing, a
+    state-only flow of x + w for T inverted on chart1.
 
-    `chart1` is `target_chart(field, x, T, L, tol)`.  Returns (v, s), the
-    ambient normal vector at the image point and the chart time of the
-    landing, equal to `sectional_poincare(...)`'s `value` and `time_offset`.
+    `chart1` is `target_chart(field, x, T, L, tol)`, so the value at w = 0
+    is exactly 0.  Returns (v, s), the ambient normal vector at the image
+    point and the chart time of the landing, equal to
+    `sectional_poincare(...)`'s `value` and `time_offset`.
     Raises SingularityError at a singular x and RadiusError when w is not
     normal at x; |w| is not bounded (as with `max_radius=np.inf`).
     """

@@ -357,6 +357,10 @@ def drift_trials(field, region: Box, epsilon, T, n_trials, seed=0,
         result = None
         for _ in range(8):
             y = x + rho * sx * u
+            # an x near a face can push y out; such a trial is dropped, as
+            # when y's orbit leaves the domain
+            if not field.domain.contains(y, slack=1e-12):
+                break
             try:
                 theta, _ = fit_reparametrization(
                     field, x, y, t_nodes=t_nodes,

@@ -11,16 +11,20 @@ search, with none of its algorithm: `brute_force_bottleneck` against
 three `evaluate_cocycle` calls per (node, t), each with its own flow.
 `evolve_direction` moves a direction with the variational flow, for the
 cocycle identity h(x, s+t) = h(x, s) h(phi_s x, t).
+`estimate_solve_norm` probes the sup-norm of `blockseq`'s (I - L)^{-1}
+from below, against its closed-form bound, and `orbit_to_csv` writes an
+orbit segment as CSV; only tests use either.
 """
 
 import numpy as np
 
+from flowlab.blockseq import solve_linear_part
 from flowlab.errors import NoPathError
 from flowlab.fields import LIPSCHITZ_SAFETY, flow, speeds
 from flowlab.flowbox import BoxBoundsReport, _ball_grid, _time_frames
 from flowlab.hyperbolic import evaluate_cocycle
 from flowlab.poincare import psi_ambient
-from flowlab.util import mininorm, opnorm, orthonormalize, unit
+from flowlab.util import mininorm, opnorm, orthonormalize, unit, write_csv
 
 _STEPS = ((1, 0), (0, 1), (1, 1))
 
@@ -200,3 +204,31 @@ def domination_entries_loop(field, splitting, cocycles, C, lam, T_grid, tol):
                     * mininorm(fwd @ splitting.unstable[i]),
                 "bound": float(bound)})
     return entries
+
+
+def estimate_solve_norm(system, n_probes=32, seed=0):
+    """Probing lower estimate of the sup-norm of (I - L)^{-1}."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(n_probes):
+        rows_s = []
+        rows_u = []
+        for j in range(system.n_blocks):
+            rows_s.append(rng.normal(size=system.bases_s[j].shape[1]))
+            rows_u.append(rng.normal(size=system.bases_u[j].shape[1]))
+        # normalize the row data as one sup-norm element of the block space
+        w = [system.unsplit(j, rows_s[j], rows_u[j]) for j in range(system.n_blocks)]
+        scale = system.sup_norm(w)
+        w = [v / scale for v in w]
+        sol = solve_linear_part(system, w)
+        best = max(best, system.sup_norm(sol))
+    return best
+
+
+def orbit_to_csv(segment, path):
+    """One row (t, x_1, ..., x_d, speed) per node of an orbit segment."""
+    d = segment.states.shape[1]
+    header = ["t"] + [f"x_{i+1}" for i in range(d)] + ["speed"]
+    rows = [[segment.times[i], *segment.states[i], segment.speeds[i]]
+            for i in range(segment.n_nodes)]
+    write_csv(path, header, rows)

@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from flowlab.blockseq import (BlockSequenceSystem, angle, angle_with_flag,
                               apply_hyperbolic_operator,
                               assemble_block_system, bump, contraction_bound,
-                              estimate_solve_norm, make_random_system,
-                              solve_fixed_point, solve_hyperbolic_operator)
+                              make_random_system, solve_fixed_point,
+                              solve_hyperbolic_operator)
 from flowlab.errors import DivergenceError, DomainError, NoCertificateError
 from flowlab.fields import Box, make_field, sample_orbit
 from flowlab.hyperbolic import (NormalSplitting, rebalance_sequence,
                                 step_flows)
-from oracles import angle_brute
+from oracles import angle_brute, estimate_solve_norm
 
 
 # -------------------------------------------------------------------- angle
@@ -246,29 +246,76 @@ def test_assembly_never_differentiates_the_sectional_map(diag_assembly,
 
 
 def test_assembly_flows_each_node_once(diag_assembly, monkeypatch):
-    # the splitting's step flow of (x_j, T) is psi_T's flow and also places
-    # the target chart; no second one, from the splitting on
+    # the splitting's step flow of (x_j, T) is psi_T's flow, made once; the
+    # target chart is one state-only flow of (x_j, T), and every landing is
+    # state-only: no variational flow of x_j + w over T
     import dataclasses
 
+    import flowlab.flowbox as F
     import flowlab.hyperbolic as H
     import flowlab.poincare as P
     g, spl, rb, _ = diag_assembly
-    seen = {}
-    inner = P.flow
+    variational, state_only = {}, {}
+    inner_flow, inner_points = P.flow, P.flow_points
 
     def counting_flow(field, x, t, tol=1e-9):
         key = (tuple(np.asarray(x, dtype=float).tolist()), float(t))
-        seen[key] = seen.get(key, 0) + 1
-        return inner(field, x, t, tol)
+        variational[key] = variational.get(key, 0) + 1
+        return inner_flow(field, x, t, tol)
 
-    monkeypatch.setattr(P, "flow", counting_flow)
-    monkeypatch.setattr(H, "flow", counting_flow)
+    def counting_points(field, x, times, tol=1e-9):
+        key = (tuple(np.asarray(x, dtype=float).tolist()),
+               tuple(np.asarray(times, dtype=float).tolist()))
+        state_only[key] = state_only.get(key, 0) + 1
+        return inner_points(field, x, times, tol)
+
+    for module in (P, H, F):
+        monkeypatch.setattr(module, "flow", counting_flow)
+    monkeypatch.setattr(P, "flow_points", counting_points)
     spl = dataclasses.replace(spl, steps=step_flows(g, spl.orbit, 1.0, 1e-11))
     assemble_block_system(g, spl, rb, 1.0, epsilon=1e-3, L=1.05, tol=1e-11,
                           lip_samples=8, enforce_radius=False)
+    nodes = [tuple(spl.orbit.states[j].tolist())
+             for j in range(spl.orbit.n_nodes - 1)]
+    for x in nodes:
+        assert variational[(x, 1.0)] == 1      # the step flow
+        assert state_only[(x, (1.0,))] == 1    # the chart
+    assert max(variational.values()) == 1
+    # every variational flow over T is a node's step flow
+    assert {k for k in variational if k[1] == 1.0} == \
+        {(x, 1.0) for x in nodes}
+    # and the landings of x_j + w over T are state-only
+    landings = [k for k in state_only if k[1] == (1.0,) and k[0] not in nodes]
+    assert len(landings) >= len(nodes)
+    # and no state-only flow, chart or landing, is made twice
+    assert max(state_only.values()) == 1
+
+
+def test_assembly_phi_vanishes_bitwise_on_lorenz(lorenz):
+    # the target chart is the state-only landing of w = 0, so phi_j(0) is
+    # zero bytes on every block of a Lorenz window
+    from flowlab.fields import flow_points
+    from flowlab.hyperbolic import estimate_normal_splitting
+    from flowlab.poincare import psi_from_flow
+    from flowlab.util import mininorm, opnorm
+
+    tol = 1e-10
+    x0 = flow_points(lorenz, np.array([1.0, 1.0, 1.0]), [12.0], tol)[0]
+    orbit = sample_orbit(lorenz, x0, np.arange(13) * 0.5, tol=tol)
+    spl = estimate_normal_splitting(lorenz, orbit, dim_s=1, T_block=0.5,
+                                    tol=tol, warmup=4)
+    norms = []
     for j in range(spl.orbit.n_nodes - 1):
-        assert seen[(tuple(spl.orbit.states[j].tolist()), 1.0)] == 1
-    assert max(seen.values()) == 1
+        amb = psi_from_flow(lorenz, *spl.node_flow(lorenz, j, 0.5, tol))
+        norms.append((opnorm(amb @ spl.stable[j]),
+                      mininorm(amb @ spl.unstable[j])))
+    rb = rebalance_sequence(norms, eta=0.97, i_start=0)
+    res = assemble_block_system(lorenz, spl, rb, 0.5, epsilon=2e-4, L=2.0,
+                                tol=tol, lip_samples=4, enforce_radius=False,
+                                seed=5)
+    zero = np.zeros(3)
+    for phi in res.system.phis:
+        assert phi(zero).tobytes() == zero.tobytes()
 
 
 def _phi_from_sectional_poincare(g, spl, rb, system, j, T, epsilon, L, tol):

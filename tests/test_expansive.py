@@ -226,6 +226,11 @@ def test_y_exit_before_horizon_keeps_identity(monkeypatch):
     assert E._evaluate_pair(saddle, np.array(x), y_out, cfg, "rescaled",
                             base) == []
     assert [end for _, end, _ in calls] == [pytest.approx(-1.6)]
+    # a y that starts outside the domain leaves no candidate, and no solve
+    calls.clear()
+    assert E._evaluate_pair(saddle, np.array(x), np.array([0.5, 10.5]), cfg,
+                            "rescaled", base) == []
+    assert calls == []
 
 
 def test_budget_monotonicity(rotation):

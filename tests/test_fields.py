@@ -10,8 +10,8 @@ from flowlab.fields import (Box, DenseOrbit, _augmented_rhs, _domain_event,
                             _fd_jacobian, custom_field, estimate_lipschitz,
                             evaluate, flow, flow_points, flow_states_batch,
                             ivp_options, make_field, orbit_states,
-                            orbit_to_csv, sample_orbit, solve_ivp)
-from oracles import estimate_lipschitz_loop
+                            sample_orbit, solve_ivp)
+from oracles import estimate_lipschitz_loop, orbit_to_csv
 
 BUILTIN_KINDS = [
     ("linear", [-3.0, 0.5, 0.0, 0.2, -1.0, 0.0, 0.0, 0.7, 2.0]),
@@ -118,6 +118,24 @@ def test_dense_orbit_is_bitwise_flow_points(lorenz, saddle2d):
                                             rel=1e-8)
     with pytest.raises(DomainError):
         orbit([5.0])
+
+
+def test_state_only_paths_reject_a_start_outside_the_domain(saddle_susp):
+    # (12 e^t, 0, t) and (0, 12 e^-t, t) cross no face of [-10, 10]^3, so
+    # the domain event never changes sign: the start is checked, as in `flow`
+    with pytest.raises(DomainError):
+        flow_points(saddle_susp, [12.0, 0.0, 0.0], [0.5])    # x = 19.78
+    with pytest.raises(DomainError):
+        flow_points(saddle_susp, [0.0, 12.0, 0.0], [0.05])   # y = 11.41
+    with pytest.raises(DomainError):
+        orbit_states(saddle_susp, [12.0, 0.0, 0.0], [0.5])
+    with pytest.raises(DomainError):
+        DenseOrbit(saddle_susp, [12.0, 0.0, 0.0], (0.0, 0.5), 1e-9).reaches(
+            [0.5])
+    with pytest.raises(DomainError):
+        flow(saddle_susp, [12.0, 0.0, 0.0], 0.5)
+    # a start on the face is inside
+    assert orbit_states(saddle_susp, [10.0, 0.0, 0.0], [0.5])[1] is not None
 
 
 def test_variational_exact_on_linear_fields():

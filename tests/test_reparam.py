@@ -234,6 +234,15 @@ def test_drift_trials_rotation(rotation):
     assert all(t.measured_sup <= t.delta for t in trials)
 
 
+def test_drift_trials_on_a_region_at_the_domain_face(rotation):
+    # x within rho |X(x)| ~ 4.8e-4 of the face x1 = 10 pushes some y out of
+    # [-10, 10]^2; those trials are dropped, and the call still makes all
+    trials = drift_trials(rotation, Box([9.9999, -0.1], [10.0, 0.1]), 0.3,
+                          chart_radius(1.05), 3, seed=0, L=1.05)
+    assert len(trials) == 3
+    assert all(t.bound_ok for t in trials)
+
+
 # ------------------------------------------------------ orbit time control
 
 
