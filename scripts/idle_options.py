@@ -4,7 +4,7 @@
 An AST pass collects every function and method defined in `src/flowlab`
 and every call in `src/`, `scripts/`, `perfbench/` and `tests/`, matched to
 its callee by name (`f(...)` and `obj.f(...)` both call every `f`).  It
-prints four lists:
+prints five lists:
 
     idle default        a defaulted parameter that no call site sets
     filled default      a `None` default that every call site sets
@@ -14,6 +14,10 @@ prints four lists:
     unread parameter    a parameter that its function's body never reads
                         (a read in a nested function or lambda counts;
                         the `self` or `cls` of a method is left out)
+    test-only definition
+                        a public module-level function or class of
+                        `src/flowlab` that only `tests/` calls (an
+                        `__init__` export is not a call)
 
 `tol` is left out: it is the accuracy contract of the whole API.  A call
 that passes a parameter sets it whatever the value (a variable that may
@@ -178,6 +182,19 @@ def _set_keys(texts):
     return keys
 
 
+def test_only(root=ROOT):
+    """Public definitions of `src/flowlab` that only the tests call."""
+    called = {d: set(_calls(sorted((root / d).rglob("*.py"))))
+              for d in CALLER_DIRS}
+    program = called["src"] | called["scripts"] | called["perfbench"]
+    return [f"{path.stem}.{node.name}"
+            for path in sorted((root / "src" / "flowlab").glob("*.py"))
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name in called["tests"] and node.name not in program]
+
+
 def idle_keys(root=ROOT):
     set_keys = _set_keys(_scenario_texts(root))
     return [f"{command} {key}"
@@ -189,7 +206,8 @@ def main():
     idle, filled, unread = scan()
     for label, items in (("idle default", idle), ("filled default", filled),
                          ("idle scenario key", idle_keys()),
-                         ("unread parameter", unread)):
+                         ("unread parameter", unread),
+                         ("test-only definition", test_only())):
         print(f"{label}: {len(items)}")
         for item in items:
             print(f"  {item}")

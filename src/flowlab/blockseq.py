@@ -19,7 +19,10 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NoCertificateError
-from .util import opnorm, orthonormalize, write_csv
+from .hyperbolic import RebalanceResult, rebalance_sequence
+from .poincare import (linear_poincare_from_flow, psi_from_flow,
+                       section_radius, sectional_value, target_chart)
+from .util import mininorm, opnorm, orthonormalize, write_csv
 
 
 def angle(S, U) -> float:
@@ -322,9 +325,6 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     theirs, so at the splitting's own block time and tol no node's
     variational system is integrated over T here.
     """
-    from .poincare import (linear_poincare_from_flow, section_radius,
-                           sectional_value, target_chart)
-
     orbit = splitting.orbit
     dt = orbit.step()
     if abs(dt - T) > 1e-9 * max(1.0, abs(T)):
@@ -454,6 +454,52 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     return AssemblyResult(system=system, lip_measured=lip, xi_required=xi_req,
                           feasible=bool(feasible), off_diag=off,
                           eta_measured=eta_meas, alpha_measured=alpha_meas)
+
+
+# ---------------------------------------------------------------------------
+# the certificate chain on one orbit window
+
+#: Working chart scale: at the honest Lorenz L (about 40) the section radius
+#: at T = 0.5 is 3e-21, so the chain runs with the radius check off.
+_WORKING_CHART_L = 2.0
+LIP_SAMPLES = 120     # Lipschitz samples per block in a scenario
+
+
+@dataclass
+class WindowCertificate:
+    rebalance: RebalanceResult
+    assembly: AssemblyResult
+    kappa: float
+    fixed_point: Optional[FixedPointResult]  # None unless feasible, kappa < 1
+    certified: bool                          # the fixed point converged
+
+
+def certify_window(field, splitting, lip_samples, seed):
+    """Rebalance (eta = 0.97), assemble (epsilon = 2e-4, the working chart
+    scale, no radius check, Lipschitz samples drawn with `seed`) and, when
+    the system is feasible with kappa < 1, solve to 1e-11 from noise of size
+    1e-4 |X(x_j)| drawn with seed + 1.  psi_T comes from the splitting's
+    carried step flows, and the block time T and tol are theirs.
+    """
+    steps = splitting.steps
+    norms = []
+    for j, (state, Phi) in enumerate(steps.flows):
+        amb = psi_from_flow(field, state, Phi)
+        norms.append((opnorm(amb @ splitting.stable[j]),
+                      mininorm(amb @ splitting.unstable[j])))
+    rb = rebalance_sequence(norms, eta=0.97, i_start=0)
+    res = assemble_block_system(field, splitting, rb, steps.time, epsilon=2e-4,
+                                L=_WORKING_CHART_L, tol=steps.tol,
+                                lip_samples=lip_samples, seed=seed,
+                                enforce_radius=False)
+    kappa = contraction_bound(res.system)
+    fp = None
+    if res.feasible and kappa < 1.0:
+        rng = np.random.default_rng(seed + 1)
+        fp = solve_fixed_point(res.system, [
+            1e-4 * s * rng.normal(size=field.dimension)
+            for s in splitting.orbit.speeds], tol=1e-11)
+    return WindowCertificate(rb, res, kappa, fp, bool(fp and fp.converged))
 
 
 # ---------------------------------------------------------------------------

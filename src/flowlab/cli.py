@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blockseq import (BlockSequenceSystem, contraction_bound,
-                       make_random_system, solve_fixed_point, solve_linear_part)
+from .blockseq import (LIP_SAMPLES, BlockSequenceSystem, certify_window,
+                       contraction_bound, make_random_system,
+                       solve_fixed_point, solve_linear_part)
 from .errors import DomainError, EscapeError, FlowLabError, ScenarioError
 from .expansive import (MODES, ScanConfig, epsilon0_estimate,
                         expansiveness_scan, nonsingular_equivalence_probe,
@@ -38,12 +39,13 @@ from .util import write_csv, write_json
 
 _COUNT_KEYS = ("bases", "pairs", "samples", "systems", "starts", "blocks",
                "budget", "lattice")
+_LEAST = {"burn": 0, **dict.fromkeys(_COUNT_KEYS, 1)}
 
 
 def _numbers(sc, key, n=None, default=(), kind=float):
     """The values of a scenario key as `kind`; a ScenarioError unless there
     are n of them (any count if n is None), each finite and of that kind,
-    and each at least 1 for a count key."""
+    and none below the key's least value in `_LEAST`."""
     vals = sc.options.get(key, list(default))
     vals = vals if isinstance(vals, list) else [vals]
     if n is not None and len(vals) != n:
@@ -55,8 +57,8 @@ def _numbers(sc, key, n=None, default=(), kind=float):
             raise ScenarioError(f"{key} needs numbers, got {v!r}")
         if kind is int and not float(v).is_integer():
             raise ScenarioError(f"{key} needs integers, got {v!r}")
-        if key in _COUNT_KEYS and v < 1:
-            raise ScenarioError(f"{key} must be >= 1, got {v!r}")
+        if v < _LEAST.get(key, -np.inf):
+            raise ScenarioError(f"{key} must be >= {_LEAST[key]}, got {v!r}")
     return [kind(v) for v in vals]
 
 
@@ -167,7 +169,8 @@ def _run_shadow(sc, field, out):
             "trials": len(trials), "violations": len(bad)}, len(bad)
 
 
-def _run_split(sc, field, out):
+def _split_window(sc, field, out):
+    """(splitting, domination report) of a `split` or `pipeline` orbit."""
     start = np.asarray(_numbers(sc, "start", field.dimension))
     burn = _number(sc, "burn", 0.0)
     t_block = _number(sc, "t-block", 0.5)
@@ -191,11 +194,34 @@ def _run_split(sc, field, out):
     rep = check_domination(field, splitting, (trivial_cocycle(), h_u), C, lam,
                            t_grid, tol=sc.tol)
     rep.to_csv(out / "series-split.csv")
+    return splitting, rep
+
+
+def _run_split(sc, field, out):
+    splitting, rep = _split_window(sc, field, out)
     ok = rep.all_ok
     _print(f"split nodes={splitting.orbit.n_nodes} domination="
            f"{rep.domination_ok} contraction={rep.contraction_ok} "
            f"expansion={rep.expansion_ok} {'PASS' if ok else 'FAIL'}")
     return {"command": "split", **rep.to_json_dict()}, 0 if ok else 1
+
+
+def _run_pipeline(sc, field, out):
+    splitting, dom = _split_window(sc, field, out)
+    L = estimate_lipschitz(field, _sample_box(sc, field), 256, seed=sc.seed)
+    cert = certify_window(field, splitting, LIP_SAMPLES, sc.seed)
+    res, fp = cert.assembly, cert.fixed_point
+    ok = dom.all_ok and cert.certified
+    _print(f"pipeline domination={dom.all_ok} feasible={res.feasible} kappa="
+           f"{cert.kappa:.4f} {'PASS' if ok else 'FAIL'}")
+    return {"command": "pipeline", "L": L, "eta": res.eta_measured,
+            "alpha": res.alpha_measured, "lip": res.lip_measured,
+            "xi_required": res.xi_required, "feasible": res.feasible,
+            "kappa": cert.kappa, "domination": dom.to_json_dict(),
+            "rebalance": cert.rebalance.to_json_dict(),
+            "fixed_point": None if fp is None else {
+                "iterations": fp.iterations, "final_norm": fp.final_norm,
+                "converged": fp.converged}}, 0 if ok else 1
 
 
 def _run_fixedpoint(sc, field, out):
@@ -354,6 +380,7 @@ _HANDLERS = {
     "poincare": _run_poincare,
     "shadow": _run_shadow,
     "split": _run_split,
+    "pipeline": _run_pipeline,
     "fixedpoint": _run_fixedpoint,
     "expansive": _run_expansive,
     "constants": _run_constants,

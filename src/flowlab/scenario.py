@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DomainError, ScenarioError
 from .fields import FIELD_KINDS, Box, make_field
 
-_COMMANDS = ("flowbox", "poincare", "shadow", "split", "fixedpoint",
-             "expansive", "constants")
+_COMMANDS = ("flowbox", "poincare", "shadow", "split", "pipeline",
+             "fixedpoint", "expansive", "constants")
 
 # known keys per command (validation reports unknown keys with their line)
 _COMMAND_KEYS = {
@@ -31,6 +31,8 @@ _COMMAND_KEYS = {
                   "budget", "lipschitz"},
     "constants": {"t", "epsilons", "sample-box", "samples"},
 }
+# pipeline shares split's window (cli._split_window), so it takes its keys
+_COMMAND_KEYS["pipeline"] = _COMMAND_KEYS["split"] | {"sample-box"}
 
 _FIELD_KEYS = {"matrix", "params", "domain", "dimension"}
 

@@ -357,6 +357,22 @@ def test_c9_expansiveness_scans(scenario_runs):
     _report("C9 expansiveness scans", ok, "; ".join(details))
 
 
+def test_pipeline_scenario_report(scenario_runs):
+    # the certificate chain end to end: the keys of the report that
+    # scripts/run_lorenz_pipeline.py wrote, and a converged fixed point
+    run = scenario_runs["pipeline-lorenz"]
+    rep = json.loads((run["paths"][0] / "report.json").read_text())
+    keys = sorted(k for k in rep if k not in ("command", "scenario"))
+    ok = run["codes"][0] == 0
+    ok = ok and keys == ["L", "alpha", "domination", "eta", "feasible",
+                         "fixed_point", "kappa", "lip", "rebalance",
+                         "xi_required"]
+    ok = ok and rep["fixed_point"]["converged"]
+    _report("pipeline certificate chain", ok,
+            f"kappa={rep['kappa']:.4f} "
+            f"iterations={rep['fixed_point']['iterations']}")
+
+
 def test_c10_determinism(scenario_runs):
     ok = True
     checked = []

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from flowlab.blockseq import (BlockSequenceSystem, angle, angle_with_flag,
                               apply_hyperbolic_operator,
-                              assemble_block_system, bump, contraction_bound,
-                              make_random_system, solve_fixed_point,
-                              solve_hyperbolic_operator)
+                              assemble_block_system, bump, certify_window,
+                              contraction_bound, make_random_system,
+                              solve_fixed_point, solve_hyperbolic_operator)
 from flowlab.errors import DivergenceError, DomainError, NoCertificateError
 from flowlab.fields import Box, make_field, sample_orbit
 from flowlab.hyperbolic import (NormalSplitting, rebalance_sequence,
@@ -291,30 +291,25 @@ def test_assembly_flows_each_node_once(diag_assembly, monkeypatch):
     assert max(state_only.values()) == 1
 
 
-def test_assembly_phi_vanishes_bitwise_on_lorenz(lorenz):
-    # the target chart is the state-only landing of w = 0, so phi_j(0) is
-    # zero bytes on every block of a Lorenz window
+@pytest.fixture(scope="module")
+def lorenz_splitting(lorenz):
+    # the Lorenz window of both pipeline tests: 13 nodes, 5 after warmup
     from flowlab.fields import flow_points
     from flowlab.hyperbolic import estimate_normal_splitting
-    from flowlab.poincare import psi_from_flow
-    from flowlab.util import mininorm, opnorm
 
     tol = 1e-10
     x0 = flow_points(lorenz, np.array([1.0, 1.0, 1.0]), [12.0], tol)[0]
     orbit = sample_orbit(lorenz, x0, np.arange(13) * 0.5, tol=tol)
-    spl = estimate_normal_splitting(lorenz, orbit, dim_s=1, T_block=0.5,
-                                    tol=tol, warmup=4)
-    norms = []
-    for j in range(spl.orbit.n_nodes - 1):
-        amb = psi_from_flow(lorenz, *spl.node_flow(lorenz, j, 0.5, tol))
-        norms.append((opnorm(amb @ spl.stable[j]),
-                      mininorm(amb @ spl.unstable[j])))
-    rb = rebalance_sequence(norms, eta=0.97, i_start=0)
-    res = assemble_block_system(lorenz, spl, rb, 0.5, epsilon=2e-4, L=2.0,
-                                tol=tol, lip_samples=4, enforce_radius=False,
-                                seed=5)
+    return estimate_normal_splitting(lorenz, orbit, dim_s=1, T_block=0.5,
+                                     tol=tol, warmup=4)
+
+
+def test_assembly_phi_vanishes_bitwise_on_lorenz(lorenz, lorenz_splitting):
+    # the target chart is the state-only landing of w = 0, so phi_j(0) is
+    # zero bytes on every block of a Lorenz window
+    cert = certify_window(lorenz, lorenz_splitting, 4, 5)
     zero = np.zeros(3)
-    for phi in res.system.phis:
+    for phi in cert.assembly.system.phis:
         assert phi(zero).tobytes() == zero.tobytes()
 
 
@@ -371,54 +366,38 @@ def test_assembly_radius_precondition(diag_assembly):
                               lip_samples=4)
 
 
-def test_lorenz_pipeline_end_to_end(lorenz):
+def test_lorenz_pipeline_end_to_end(lorenz, lorenz_splitting):
     # orbit -> splitting -> rebalance -> assembly -> fixed point at zero,
     # with working charts (the certified section radii are unreachable at
     # the honest Lorenz Lipschitz constant)
-    from flowlab.fields import flow_points
-    from flowlab.hyperbolic import estimate_normal_splitting
-    from flowlab.poincare import psi_ambient
-    from flowlab.util import mininorm, opnorm
-
-    tol = 1e-10
-    x0 = flow_points(lorenz, np.array([1.0, 1.0, 1.0]), [12.0], tol)[0]
-    orbit = sample_orbit(lorenz, x0, np.arange(13) * 0.5, tol=tol)
-    splitting = estimate_normal_splitting(lorenz, orbit, dim_s=1, T_block=0.5,
-                                          tol=tol, warmup=4)
-    n = splitting.orbit.n_nodes
-    norms = []
-    for j in range(n - 1):
-        amb, _ = psi_ambient(lorenz, splitting.orbit.states[j], 0.5, tol)
-        norms.append((opnorm(amb @ splitting.stable[j]),
-                      mininorm(amb @ splitting.unstable[j])))
-    rb = rebalance_sequence(norms, eta=0.97, i_start=0)
-    res = assemble_block_system(lorenz, splitting, rb, 0.5, epsilon=2e-4,
-                                L=2.0, tol=tol, lip_samples=40,
-                                enforce_radius=False, seed=5)
-    assert res.feasible
-    kappa = contraction_bound(res.system)
-    assert kappa < 1.0
-    rng = np.random.default_rng(6)
-    init = [1e-4 * splitting.orbit.speeds[j] * rng.normal(size=3)
-            for j in range(n)]
-    fp = solve_fixed_point(res.system, init, tol=1e-11)
+    cert = certify_window(lorenz, lorenz_splitting, 40, 5)
+    assert cert.assembly.feasible
+    assert cert.kappa == contraction_bound(cert.assembly.system)
+    assert cert.kappa < 1.0
+    fp = cert.fixed_point
     assert fp.converged and fp.final_norm <= 1e-11
+    assert cert.certified
 
 
-def test_lorenz_pipeline_script_runs(tmp_path):
-    # scripts/run_lorenz_pipeline.py end to end on a short orbit
-    import json
-    import subprocess
-    import sys
-    from pathlib import Path
+def test_certify_window_reuses_the_step_flows(diag_assembly, monkeypatch):
+    # psi_T's norms and blocks come from the splitting's carried step
+    # flows: no node x_j is flowed over T again
+    import flowlab.fields as fields_module
+    import flowlab.flowbox as F
+    import flowlab.hyperbolic as H
+    import flowlab.poincare as P
+    g, spl, _, _ = diag_assembly
+    T = spl.steps.time
+    flowed = []
+    inner = fields_module.flow
 
-    script = Path(__file__).resolve().parents[1] / "scripts" / \
-        "run_lorenz_pipeline.py"
-    subprocess.run([sys.executable, str(script), "--blocks", "10",
-                    "--lip-samples", "8", "--out", str(tmp_path)],
-                   check=True, capture_output=True)
-    report = json.loads((tmp_path / "pipeline.json").read_text())
-    assert sorted(report) == ["L", "alpha", "domination", "eta", "feasible",
-                              "fixed_point", "kappa", "lip", "rebalance",
-                              "xi_required"]
-    assert report["fixed_point"]["converged"]
+    def spy(field, x, t, tol=1e-9):
+        flowed.append((tuple(np.asarray(x, dtype=float).tolist()), float(t)))
+        return inner(field, x, t, tol)
+
+    for module in (fields_module, P, H, F):
+        monkeypatch.setattr(module, "flow", spy)
+    cert = certify_window(g, spl, 8, 0)
+    assert cert.certified and cert.fixed_point.final_norm <= 1e-11
+    nodes = {(tuple(x.tolist()), T) for x in spl.orbit.states[:-1]}
+    assert not nodes & set(flowed)

@@ -113,6 +113,12 @@ def test_unknown_field_kind_exits_2(tmp_path, capsys):
          "bases must be >= 1"),
         ("field rotation\n\ncommand fixedpoint\n  systems 1\n"
          "  starts 0\n", "starts must be >= 1"),
+        (lorenz + "command split\n  start 1 1 1\n  burn -12\n",
+         "burn must be >= 0"),
+        (lorenz + "command pipeline\n  start 1 1 1\n  burn -12\n",
+         "burn must be >= 0"),
+        ("field rotation\n\ncommand expansive\n  samples 1\n  burn -1\n"
+         + box, "burn must be >= 0"),
     ]
     p = tmp_path / "bad.scn"
     for text, message in cases:
@@ -289,3 +295,30 @@ tol 1e-10
     rep = json.loads(raw)
     assert len(rep["entries"]) == 3
     assert all(e["pass"] for e in rep["entries"])
+
+
+def test_pipeline_scenario_reports_a_failed_certificate(tmp_path):
+    # at split's default margins (C 1.05, lambda 0.1) a short Lorenz window
+    # fails the expansion check, and its block system is infeasible: a
+    # finding, with no fixed point attempted
+    p = tmp_path / "pl.scn"
+    p.write_text("""
+field lorenz
+  params 10 28 2.6666666666666665
+
+command pipeline
+  start 1 1 1
+  burn 12
+  blocks 6
+  warmup 2
+  sample-box -20 20 -25 25 5 48
+
+seed 2
+tol 1e-10
+""")
+    assert run_scenario(str(p), out=str(tmp_path / "out")) == 1
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert not rep["domination"]["expansion_ok"]
+    assert not rep["feasible"] and rep["kappa"] >= 1.0
+    assert rep["fixed_point"] is None
+    assert rep["scenario"]["findings"] == 1

@@ -12,7 +12,18 @@ ROOT = Path(__file__).resolve().parents[1]
 #: exception with its message alone); `run_scenario(out)`, which the CLI
 #: passes as None without --out; and two scenario handlers that share the
 #: `(sc, field, out)` signature of the handler table without using all of
-#: it.
+#: it.  The public definitions that only tests call are kept because:
+#: - `custom_field` and `evaluate` are public API;
+#: - `apply_hyperbolic_operator` is the test oracle of the block solver (the
+#:   row map that `solve_hyperbolic_operator` inverts), `flowbox_map` that
+#:   of `flowbox_invert`, and `extended_linear_poincare` that of
+#:   `linear_poincare` along the flow direction;
+#: - `measure_shadowing` is the only maker of the exported
+#:   `ShadowingInstance` record, and `orbit_time_control_trials` runs
+#:   acceptance criterion C2;
+#: - the tangent-splitting path (`estimate_tangent_splitting`,
+#:   `induce_from_tangent_splitting`) waits for ROADMAP item 4, the Lorenz
+#:   singularity, and `crossing_sequence` for item 12.
 ALLOWED = """\
 idle default: 4
   fields._fd_jacobian(h=1e-06)
@@ -27,6 +38,17 @@ idle scenario key: 0
 unread parameter: 2
   cli._run_fixedpoint(field)
   cli._run_constants(out)
+test-only definition: 10
+  blockseq.apply_hyperbolic_operator
+  fields.custom_field
+  fields.evaluate
+  flowbox.flowbox_map
+  hyperbolic.estimate_tangent_splitting
+  hyperbolic.induce_from_tangent_splitting
+  poincare.extended_linear_poincare
+  reparam.measure_shadowing
+  reparam.orbit_time_control_trials
+  reparam.crossing_sequence
 """
 
 
@@ -37,14 +59,19 @@ def test_idle_options_lists_only_what_is_kept_on_purpose():
     assert out == ALLOWED
 
 
-def test_idle_options_finds_an_unread_parameter(tmp_path):
-    # the audit gap of `_orbit_displacement(field, ...)`: a parameter that
-    # every caller passes and the body never reads
+def _idle_options():
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import idle_options
     finally:
         sys.path.remove(str(ROOT / "scripts"))
+    return idle_options
+
+
+def test_idle_options_finds_an_unread_parameter(tmp_path):
+    # the audit gap of `_orbit_displacement(field, ...)`: a parameter that
+    # every caller passes and the body never reads
+    idle_options = _idle_options()
     pkg = tmp_path / "src" / "flowlab"
     pkg.mkdir(parents=True)
     (pkg / "m.py").write_text(
@@ -60,3 +87,22 @@ def test_idle_options_finds_an_unread_parameter(tmp_path):
     for d in ("scripts", "perfbench"):
         (tmp_path / d).mkdir()
     assert idle_options.scan(tmp_path)[2] == ["m.f(field)", "m.C.h(a)"]
+
+
+def test_idle_options_finds_a_test_only_definition(tmp_path):
+    # a public definition that a script calls is not listed, nor is a
+    # private one; the one that only tests call is
+    pkg = tmp_path / "src" / "flowlab"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text("def used():\n    pass\n\n\n"
+                              "def oracle():\n    pass\n\n\n"
+                              "class _Private:\n    pass\n")
+    (pkg / "__init__.py").write_text("from .m import oracle, used\n")
+    for d in ("tests", "scripts", "perfbench"):
+        (tmp_path / d).mkdir()
+    (tmp_path / "tests" / "t.py").write_text(
+        "from flowlab.m import _Private, oracle, used\n"
+        "oracle()\nused()\n_Private()\n")
+    (tmp_path / "scripts" / "s.py").write_text("import flowlab\n"
+                                               "flowlab.used()\n")
+    assert _idle_options().test_only(tmp_path) == ["m.oracle"]
