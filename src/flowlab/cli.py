@@ -304,9 +304,10 @@ def _truncation_convergence(m, seed):
 def _scan_config(sc, field):
     horizon = tuple(_numbers(sc, "horizon", 2, (-2.0, 2.0)))
     lattice = tuple(_numbers(sc, "lattice", 2, (9, 17), int))
-    box = _sample_box(sc, field)
-    burn = _number(sc, "burn", 0.0)
     if "points" in sc.options:
+        for key in ("samples", "sample-box", "burn"):  # they draw points
+            if key in sc.options:
+                raise ScenarioError(f"{key} cannot be given with points")
         vals = _numbers(sc, "points")
         d = field.dimension
         if len(vals) % d:
@@ -314,6 +315,8 @@ def _scan_config(sc, field):
                 f"points needs a multiple of {d} numbers, got {len(vals)}")
         pts = [tuple(vals[i:i + d]) for i in range(0, len(vals), d)]
     else:
+        box = _sample_box(sc, field)
+        burn = _number(sc, "burn", 0.0)
         n = _number(sc, "samples", 12, int)
         pts = [tuple(p) for p in sample_regular_points(
             field, box, n, seed=sc.seed, burn=burn, tol=sc.tol)]

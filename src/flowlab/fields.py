@@ -6,18 +6,21 @@ so the tangent data is always consistent with the state trajectory.
 
 Every integration of flowlab runs on one DOP853 kernel of its own,
 `solve_ivp`: scipy's `solve_ivp(method="DOP853")` repeated operation for
-operation on scipy's tableau, so its results are bitwise scipy's, without
-scipy's per-stage wrappers.  Its dense output (`DenseSolution`) also
-evaluates a single time on Python floats, with the same bits.  In this
-module every solve goes through `_solve` (at `ivp_options(tol)`, with a
-terminal domain event), and every solve at signed times through
-`_solve_at` on top of it, or through `DenseOrbit` where the times are not
-known before the solve.  Both hand back what an orbit reached before it
-left the domain, with the exit time.  `hyperbolic` calls the kernel
-directly for the pragmatical cocycles: one dense state solve per
-evaluation (`_pragmatical_product`, shared by every box of a product) and
-one direction transport per segment between box crossings
-(`_pragmatical_value`).  Both report a failed solve as `DomainError`.
+operation, so its results are bitwise scipy's, without scipy's per-stage
+wrappers.  It needs numpy alone: the tableau is `_dop853`, scipy's
+coefficients written out bit for bit, and the terminal event's root comes
+from `_brentq`, a line-for-line port of scipy's Brent root finder.  Its
+dense output (`DenseSolution`) also evaluates a single time on Python
+floats, with the same bits.  In this module every solve goes through
+`_solve` (at `ivp_options(tol)`, with a terminal domain event), and every
+solve at signed times through `_solve_at` on top of it, or through
+`DenseOrbit` where the times are not known before the solve.  Both hand
+back what an orbit reached before it left the domain, with the exit time.
+`hyperbolic` calls the kernel directly for the pragmatical cocycles: one
+dense state solve per evaluation (`_pragmatical_product`, shared by every
+box of a product) and one direction transport per segment between box
+crossings (`_pragmatical_value`).  Both report a failed solve as
+`DomainError`.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
+from . import _dop853 as _dop
 from .errors import DomainError, EscapeError, StiffnessError
 
 #: Floor applied to Lipschitz constants everywhere downstream, so the chart
@@ -391,11 +393,11 @@ def _augmented_rhs(field):
 _N = _dop.N_STAGES
 #: (row of K, stage coefficients, node) of the stages after the first, and
 #: of the three extra stages of the dense output; the coefficient rows are
-#: the very arrays that scipy's DOP853 passes to `np.dot`.
+#: bitwise the arrays that scipy's DOP853 passes to `np.dot` (`_dop853`).
 _STAGES = tuple((s, _dop.A[s, :s], float(_dop.C[s])) for s in range(1, _N))
 _EXTRA = tuple((s, _dop.A[s, :s], float(_dop.C[s]))
                for s in range(_N + 1, _dop.N_STAGES_EXTENDED))
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _MESSAGES = {0: "The solver successfully reached the end of the "
                 "integration interval.",
              1: "A termination event occurred.",
@@ -435,6 +437,66 @@ def _initial_step(fun, t0, y0, tf, f0, direction, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return float(min(100 * h0, h1, span))
+
+
+#: Iteration cap of the terminal event's root finder (scipy's `maxiter`).
+_BRENT_ITER = 100
+
+
+def _brentq(f, a, b, xtol, rtol):
+    """A root of f in [a, b], f(a) and f(b) of opposite signs, by Brent's
+    method (Algorithms for Minimization without Derivatives, 1973): scipy's
+    `brentq.c` line for line, the same float operations in the same order,
+    so the root is bitwise scipy's `brentq`.  Raises as scipy does: a
+    ValueError for a bracket of one sign or a NaN value, a RuntimeError when
+    `_BRENT_ITER` iterations do not converge."""
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_ITER):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis  # bisect: the trial step is too long
+        else:
+            spre = scur = sbis  # bisect: the last step did too little
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
 
 
 def _interp(F, y_old, x):
@@ -503,8 +565,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None,
 
     Keeps scipy's step controller (safety 0.9, step factors in [0.2, 10],
     error exponent -1/8) and its `t_eval` and `nfev` accounting.  `events`
-    is one terminal event function or None; its root is found by `brentq`
-    on the step's dense output.
+    is one terminal event function or None; its root is found by
+    `_brentq`, scipy's `brentq` at xtol = rtol = 4 EPS, on the step's dense
+    output.
     """
     t0, tf = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -598,8 +661,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None,
                 def at(s):
                     return _interp(F, y_old, np.array([(s - t_old) / h]))[0]
 
-                root = brentq(lambda s: events(s, at(s)), t_old, t,
-                              xtol=4 * _EPS, rtol=4 * _EPS)
+                root = _brentq(lambda s: events(s, at(s)), t_old, t,
+                               4 * _EPS, 4 * _EPS)
                 roots.append(root)
                 status, t, y = 1, root, at(root)
             g = g_new

@@ -1,16 +1,21 @@
+import contextlib
+import inspect
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from flowlab import _dop853
 from flowlab.errors import DomainError, EscapeError
-from flowlab.fields import (Box, DenseOrbit, _augmented_rhs, _domain_event,
-                            _fd_jacobian, custom_field, estimate_lipschitz,
-                            evaluate, flow, flow_points, flow_states_batch,
-                            ivp_options, make_field, orbit_states,
-                            sample_orbit, solve_ivp)
+from flowlab.fields import (Box, DenseOrbit, _augmented_rhs, _brentq,
+                            _domain_event, _fd_jacobian, custom_field,
+                            estimate_lipschitz, evaluate, flow, flow_points,
+                            flow_states_batch, ivp_options, make_field,
+                            orbit_states, sample_orbit, solve_ivp)
 from oracles import estimate_lipschitz_loop, orbit_to_csv
 
 BUILTIN_KINDS = [
@@ -409,6 +414,100 @@ def test_dense_output_scalar_path_is_the_array_path(lorenz,
         stacked = sol(times)
         for i, s in enumerate(times):
             assert sol(s).tobytes() == stacked[:, i].tobytes()
+
+
+def test_tableau_is_bitwise_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    assert ((_dop853.N_STAGES, _dop853.N_STAGES_EXTENDED)
+            == (ref.N_STAGES, ref.N_STAGES_EXTENDED))
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        a, b = getattr(_dop853, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@contextlib.contextmanager
+def _lines_run(fun):
+    """Collects the source lines of `fun` that run inside the block."""
+    ran, code, before = set(), fun.__code__, sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        yield ran
+    finally:
+        sys.settrace(before)
+
+
+def _evaluations(solver, f, a, b):
+    """What solver(f, a, b) returns, or the ValueError or RuntimeError it
+    raises, and the points at which it evaluated f."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        return solver(g, a, b), xs
+    except (ValueError, RuntimeError) as exc:
+        return exc, xs
+
+
+def test_brentq_is_bitwise_scipy(saddle2d):
+    from scipy.optimize import brentq
+    tol = 4 * sys.float_info.epsilon
+    # the domain event of the saddle on the dense step that leaves the box
+    sol = solve_ivp(lambda s, y: saddle2d.func(y), (0.0, 6.0), [1.0, 0.5],
+                    **ivp_options(1e-10), dense_output=True).sol
+    event = _domain_event(saddle2d)
+    i = next(i for i in range(sol.ts.size - 1)
+             if event(0, sol(sol.ts[i + 1])) < 0)
+    brackets = [
+        (lambda x: x - 0.3, 0.0, 1.0),
+        (lambda x: math.atan(x - 0.3) ** 3, 0.0, 1.0),
+        (lambda x: math.exp(7.0 * (x - 0.61)) - 1.0, 2.0, -1.0),
+        (lambda x: math.tanh(40.0 * (x - 0.2)) + 1e-3 * math.sin(50 * x),
+         -3.0, 4.0),
+        (lambda x: math.copysign(abs(x - 0.37) ** 4.5, x - 0.37), 0.0, 1.0),
+        (lambda x: x - 1.0, 1.0, 2.0),  # the root at a
+        (lambda x: x - 1.0, 0.0, 1.0),  # the root at b
+        (lambda s: event(s, sol(s)), float(sol.ts[i]), float(sol.ts[i + 1])),
+        # errors: one sign (also where the product underflows), a NaN at b
+        # and inside, no convergence
+        (lambda x: x * x + 1.0, -1.0, 1.0),
+        (lambda x: 1e-200, 0.0, 1.0),
+        (lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0),
+        (lambda x: -1.0 if x < 0.25 else math.nan if x < 0.75 else 1.0,
+         0.0, 1.0),
+        (lambda x: -1.0 if x < 1e-200 else 1.0, 0.0, 1e300),
+    ]
+    with _lines_run(_brentq) as ran:
+        mine = [_evaluations(lambda g, a, b: _brentq(g, a, b, tol, tol), *c)
+                for c in brackets]
+    for c, (got, xs) in zip(brackets, mine):
+        ref, ref_xs = _evaluations(
+            lambda g, a, b: brentq(g, a, b, xtol=tol, rtol=tol), *c)
+        assert [x.hex() for x in xs] == [x.hex() for x in ref_xs]
+        if isinstance(ref, float):
+            assert type(got) is float and got.hex() == ref.hex()
+        else:
+            assert (type(got), str(got)) == (type(ref), str(ref))
+    roots = [r for r, _ in mine]
+    assert sol.ts[i] < roots[7] <= sol.ts[i + 1]
+    assert [type(r) for r in roots[8:]] == [ValueError] * 4 + [RuntimeError]
+    # every branch of the iteration ran
+    lines, first = inspect.getsourcelines(_brentq)
+    for mark in ("# interpolate", "# extrapolate", "# a good short step",
+                 "# bisect: the trial", "# bisect: the last"):
+        n = next(k for k, line in enumerate(lines) if mark in line)
+        assert first + n in ran, mark
 
 
 ORACLE_CASES = [

@@ -119,6 +119,12 @@ def test_unknown_field_kind_exits_2(tmp_path, capsys):
          "burn must be >= 0"),
         ("field rotation\n\ncommand expansive\n  samples 1\n  burn -1\n"
          + box, "burn must be >= 0"),
+        ("field rotation\n\ncommand expansive\n  points 1 0\n  burn 100\n",
+         "burn cannot be given with points"),
+        ("field rotation\n\ncommand expansive\n  points 1 0\n  samples 4\n",
+         "samples cannot be given with points"),
+        ("field rotation\n\ncommand expansive\n  points 1 0\n" + box,
+         "sample-box cannot be given with points"),
     ]
     p = tmp_path / "bad.scn"
     for text, message in cases:

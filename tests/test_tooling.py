@@ -1,5 +1,7 @@
-"""The audit script runs, and what it lists is what is kept on purpose."""
+"""The audit script runs, and what it lists is what is kept on purpose;
+flowlab starts without scipy."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +108,17 @@ def test_idle_options_finds_a_test_only_definition(tmp_path):
     (tmp_path / "scripts" / "s.py").write_text("import flowlab\n"
                                                "flowlab.used()\n")
     assert _idle_options().test_only(tmp_path) == ["m.oracle"]
+
+
+def test_flowlab_imports_no_scipy():
+    # numpy is flowlab's only run-time dependency: scipy's import costs
+    # most of a short run's start-up
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flowlab, flowlab.cli\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, check=True, env=env).stdout
+    assert out == "[]\n"
