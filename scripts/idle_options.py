@@ -3,11 +3,13 @@
 
 An AST pass collects every function and method defined in `src/flowlab`
 and every call in `src/`, `scripts/`, `perfbench/` and `tests/`, matched to
-its callee by name (`f(...)` and `obj.f(...)` both call every `f`).  It
+its callee by name (`f(...)` and `obj.f(...)` both call every `f`).  Only
+the program's calls, those in `src/`, `scripts/` and `perfbench/`, decide
+an option: a value that only a test sets justifies no parameter.  It
 prints five lists:
 
-    idle default        a defaulted parameter that no call site sets
-    filled default      a `None` default that every call site sets
+    idle default        a defaulted parameter that no program call sets
+    filled default      a `None` default that every program call sets
     idle scenario key   a key of `scenario._COMMAND_KEYS` that no `.scn`
                         file under `scripts/` or `perfbench/` and no
                         string constant in `tests/` sets
@@ -22,11 +24,11 @@ prints five lists:
 `tol` is left out: it is the accuracy contract of the whole API.  A call
 that passes a parameter sets it whatever the value (a variable that may
 hold `None` included), a call with `*args` or `**kwargs` counts as setting
-every parameter, and a
-function that is never called by name (a handler in a table, a method
-reached only through an operator) is not listed.  A scenario text sets
-a key of command X with an indented line `key ...` under a `command X`
-line.  Run from anywhere:
+every parameter, and a function that no program calls by name (a handler
+in a table, a method reached only through an operator, a definition on
+the test-only list) is not listed.  A scenario text sets a key of command
+X with an indented line `key ...` under a `command X` line.  Run from
+anywhere:
 
     python3 scripts/idle_options.py
 """
@@ -37,7 +39,8 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CALLER_DIRS = ("src", "scripts", "perfbench", "tests")
+PROGRAM_DIRS = ("src", "scripts", "perfbench")
+CALLER_DIRS = PROGRAM_DIRS + ("tests",)
 SCENARIO_DIRS = ("scripts", "perfbench")
 EXCLUDED = {"tol"}
 
@@ -120,7 +123,8 @@ def scan(root=ROOT):
         found, never_read = _definitions(path)
         defs.extend(found)
         unread.extend(never_read)
-    callers = [p for d in CALLER_DIRS for p in sorted((root / d).rglob("*.py"))]
+    callers = [p for d in PROGRAM_DIRS
+               for p in sorted((root / d).rglob("*.py"))]
     calls = _calls(callers)
     idle, filled = [], []
     for qual, name, positional, defaults in defs:
@@ -186,7 +190,7 @@ def test_only(root=ROOT):
     """Public definitions of `src/flowlab` that only the tests call."""
     called = {d: set(_calls(sorted((root / d).rglob("*.py"))))
               for d in CALLER_DIRS}
-    program = called["src"] | called["scripts"] | called["perfbench"]
+    program = set().union(*(called[d] for d in PROGRAM_DIRS))
     return [f"{path.stem}.{node.name}"
             for path in sorted((root / "src" / "flowlab").glob("*.py"))
             for node in ast.parse(path.read_text(), str(path)).body

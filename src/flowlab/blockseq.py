@@ -54,8 +54,7 @@ class BlockSequenceSystem:
 
     Blocks are indexed i_start .. i_start + n - 1; maps (A_j, D_j, phi_j)
     send block j to block j+1 (n-1 of each).  `phis` may be None for a
-    purely linear system.  `off_diag` records the dropped coupling when the
-    linear part of a flow-derived system is not exactly block diagonal.
+    purely linear system.
     """
 
     i_start: int
@@ -67,8 +66,7 @@ class BlockSequenceSystem:
     alpha: float
     xi: float
     phis: Optional[List[Callable]] = None
-    off_diag: float = 0.0
-    meta: dict = dc_field(default_factory=dict)
+    _pinv_cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_blocks(self):
@@ -81,10 +79,9 @@ class BlockSequenceSystem:
         return np.column_stack([self.bases_s[j], self.bases_u[j]])
 
     def mixing_pinv(self, j):
-        cache = self.meta.setdefault("_pinv_cache", {})
-        if j not in cache:
-            cache[j] = np.linalg.pinv(self.mixing(j))
-        return cache[j]
+        if j not in self._pinv_cache:
+            self._pinv_cache[j] = np.linalg.pinv(self.mixing(j))
+        return self._pinv_cache[j]
 
     def split(self, j, v):
         """Block vector -> (stable coords, unstable coords).
@@ -130,19 +127,6 @@ class BlockSequenceSystem:
             for j in range(self.n_blocks - 1):
                 out[j + 1] = np.asarray(self.phis[j](v[j]), dtype=float)
         return out
-
-    def to_json_dict(self):
-        return {
-            "i_start": self.i_start,
-            "eta": self.eta, "alpha": self.alpha, "xi": self.xi,
-            "off_diag": self.off_diag,
-            "bases_s": [b.tolist() for b in self.bases_s],
-            "bases_u": [b.tolist() for b in self.bases_u],
-            "A": [m.tolist() for m in self.A],
-            "D": [m.tolist() for m in self.D],
-            "meta": {k: v for k, v in self.meta.items()
-                     if not k.startswith("_")},
-        }
 
 
 def contraction_bound(system: BlockSequenceSystem) -> float:
@@ -227,9 +211,10 @@ class FixedPointResult:
         write_csv(path, ["iter", "norm", "factor"], self.trace)
 
 
-def solve_fixed_point(system: BlockSequenceSystem, initial, max_iter=2000,
+def solve_fixed_point(system: BlockSequenceSystem, initial,
                       tol=1e-12) -> FixedPointResult:
-    """Iterate v <- (I - L)^{-1} phi(v) until within tol of the fixed point.
+    """Iterate v <- (I - L)^{-1} phi(v) until within tol of the fixed point,
+    for at most 2000 iterations.
 
     With phi(0) = 0 the unique fixed point is 0.  Raises NoCertificateError
     when kappa >= 1 and DivergenceError when the step norms grow over five
@@ -247,7 +232,7 @@ def solve_fixed_point(system: BlockSequenceSystem, initial, max_iter=2000,
     max_factor = 0.0
     trace = []
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, 2001):
         w = system.apply_phi(v)
         v_new = solve_linear_part(system, w)
         step = max(float(np.linalg.norm(v_new[j] - v[j]))
@@ -291,17 +276,6 @@ class AssemblyResult:
     off_diag: float
     eta_measured: float
     alpha_measured: float
-
-    def to_json_dict(self):
-        return {
-            "lip_measured": self.lip_measured,
-            "xi_required": self.xi_required,
-            "feasible": self.feasible,
-            "off_diag": self.off_diag,
-            "eta_measured": self.eta_measured,
-            "alpha_measured": self.alpha_measured,
-            "system": self.system.to_json_dict(),
-        }
 
 
 def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
@@ -449,8 +423,7 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
     system = BlockSequenceSystem(
         i_start=int(rebalance.i_start), bases_s=bases_s, bases_u=bases_u,
         A=A, D=D, eta=eta_meas, alpha=alpha_meas, xi=max(xi_meas, 1e-300),
-        phis=phis, off_diag=off,
-        meta={"T": float(T), "epsilon": float(epsilon), "L": float(L)})
+        phis=phis)
     return AssemblyResult(system=system, lip_measured=lip, xi_required=xi_req,
                           feasible=bool(feasible), off_diag=off,
                           eta_measured=eta_meas, alpha_measured=alpha_meas)

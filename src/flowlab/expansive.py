@@ -54,11 +54,6 @@ class ScanConfig:
             raise DomainError("horizon must be a nonempty interval")
         if self.grid_n < 2:
             raise DomainError("the conclusion grid needs at least 2 times")
-        if self.lipschitz is not None:
-            r0 = chart_radius(self.lipschitz)
-            if max(self.epsilons) > r0:
-                raise DomainError(
-                    f"epsilon grid exceeds the chart radius r0={r0:.3e}")
         return True
 
 

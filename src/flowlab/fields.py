@@ -13,9 +13,10 @@ from `_brentq`, a line-for-line port of scipy's Brent root finder.  Its
 dense output (`DenseSolution`) also evaluates a single time on Python
 floats, with the same bits.  In this module every solve goes through
 `_solve` (at `ivp_options(tol)`, with a terminal domain event), and every
-solve at signed times through `_solve_at` on top of it, or through
-`DenseOrbit` where the times are not known before the solve.  Both hand
-back what an orbit reached before it left the domain, with the exit time.
+state solve at signed times through `orbit_states` on top of it, or
+through `DenseOrbit` where the times are not known before the solve.  Both
+hand back what an orbit reached before it left the domain, with the exit
+time.
 `hyperbolic` calls the kernel directly for the pragmatical cocycles: one
 dense state solve per evaluation (`_pragmatical_product`, shared by every
 box of a product) and one direction transport per segment between box
@@ -733,33 +734,6 @@ def _check_start(field, x):
         raise DomainError(f"initial point {x.tolist()} outside domain")
 
 
-def _solve_at(field, rhs, y0, times, tol, what):
-    """(solutions (n, len(y0)) at signed times in input order, exit time).
-
-    One solve per time sign over the distinct times, backward first, with
-    the domain event on; y0 is the value at t = 0, and its state (the first
-    d entries) must lie in the domain.  A solve that leaves the domain ends
-    the call at its exit time, which is returned (else None): the rows of
-    the times it did not reach, and of a sign not yet solved, are NaN.
-    """
-    _check_start(field, y0[:field.dimension])
-    ts, inv = np.unique(np.asarray(times, dtype=float), return_inverse=True)
-    out = np.full((ts.size, y0.size), np.nan)
-    out[ts == 0] = y0
-    exit_time = None
-    for back in (True, False):
-        rows = np.flatnonzero(ts < 0 if back else ts > 0)
-        if not rows.size:
-            continue
-        rows = rows[::-1] if back else rows
-        sol, exit_time = _solve(rhs, y0, float(ts[rows[-1]]), tol, what,
-                                _domain_event(field), t_eval=ts[rows])
-        out[rows[:sol.t.size]] = sol.y.T
-        if exit_time is not None:
-            break
-    return out[inv], exit_time
-
-
 def flow(field: VectorFieldSpec, x, t: float, tol: float = 1e-9):
     """Flow a point for time t; returns (state, variational matrix).
 
@@ -791,9 +765,25 @@ def orbit_states(field, x, times, tol=1e-9):
     is returned; it is None when every time is reached.  A start outside
     the domain raises DomainError, as in `flow`.
     """
-    return _solve_at(field, lambda t, y: field.func(y),
-                     np.asarray(x, dtype=float), times, tol,
-                     f"orbit sampling of {field.name}")
+    rhs = lambda t, y: field.func(y)  # noqa: E731
+    x = np.asarray(x, dtype=float)
+    what = f"orbit sampling of {field.name}"
+    _check_start(field, x)
+    ts, inv = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    out = np.full((ts.size, x.size), np.nan)
+    out[ts == 0] = x
+    exit_time = None
+    for back in (True, False):
+        rows = np.flatnonzero(ts < 0 if back else ts > 0)
+        if not rows.size:
+            continue
+        rows = rows[::-1] if back else rows
+        sol, exit_time = _solve(rhs, x, float(ts[rows[-1]]), tol, what,
+                                _domain_event(field), t_eval=ts[rows])
+        out[rows[:sol.t.size]] = sol.y.T
+        if exit_time is not None:
+            break
+    return out[inv], exit_time
 
 
 def flow_points(field, x, times, tol=1e-9):
@@ -907,13 +897,12 @@ def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
 
 @dataclass(frozen=True)
 class OrbitSegment:
-    """Time grid, states, speeds and optional variational matrices of one orbit."""
+    """Time grid, states and speeds of one orbit."""
 
     base: np.ndarray
     times: np.ndarray
     states: np.ndarray
     speeds: np.ndarray
-    variational: Optional[np.ndarray] = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -930,60 +919,28 @@ class OrbitSegment:
             raise DomainError("orbit grid is not uniform")
         return float(dt[0]) if dt.size else 0.0
 
-    def validate(self, field, rel=1e-9):
+    def validate(self, field):
+        """Check each stored speed against the field, to 1e-9 relative."""
         for i in range(self.n_nodes):
             s = speed(field, self.states[i])
             ref = max(abs(self.speeds[i]), field.singular_speed())
-            if abs(s - self.speeds[i]) > rel * ref:
-                raise DomainError(f"stored speed at node {i} off by more than {rel}")
+            if abs(s - self.speeds[i]) > 1e-9 * ref:
+                raise DomainError(f"stored speed at node {i} off by more than 1e-9")
         return True
 
     def slice(self, lo, hi):
         """Sub-segment on node indices [lo, hi) (base point unchanged)."""
-        var = None if self.variational is None else self.variational[lo:hi]
         return OrbitSegment(base=self.base, times=self.times[lo:hi],
-                            states=self.states[lo:hi], speeds=self.speeds[lo:hi],
-                            variational=var)
-
-    def check_variational_cocycle(self, field, i, j, tol=1e-9):
-        """Relative defect of Phi_{t_j} vs Phi_{t_j - t_i}(state_i) . Phi_{t_i}."""
-        if self.variational is None:
-            raise DomainError("orbit carries no variational data")
-        _, step_map = flow(field, self.states[i], self.times[j] - self.times[i], tol)
-        lhs = self.variational[j]
-        rhs = step_map @ self.variational[i]
-        return float(np.linalg.norm(lhs - rhs, 2) / max(np.linalg.norm(lhs, 2), 1e-300))
-
-    def to_json_dict(self):
-        d = {
-            "base": self.base.tolist(),
-            "times": self.times.tolist(),
-            "states": self.states.tolist(),
-            "speeds": self.speeds.tolist(),
-        }
-        if self.variational is not None:
-            # row-major flattening per node
-            d["variational"] = [m.ravel().tolist() for m in self.variational]
-        return d
+                            states=self.states[lo:hi], speeds=self.speeds[lo:hi])
 
 
-def sample_orbit(field, x, times, tol=1e-9, variational=False) -> OrbitSegment:
-    """Integrate one orbit and record states/speeds (and optionally Phi_t)."""
+def sample_orbit(field, x, times, tol=1e-9) -> OrbitSegment:
+    """Integrate one orbit and record its states and speeds at the times."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
-    d = field.dimension
-    var = None
-    if variational:
-        what = "variational orbit sampling"
-        y, exit_time = _solve_at(field, _augmented_rhs(field),
-                                 np.concatenate([x, np.eye(d).ravel()]),
-                                 times, tol, what)
-        _check_exit(what, exit_time)
-        states, var = y[:, :d].copy(), y[:, d:].reshape(-1, d, d).copy()
-    else:
-        states = flow_points(field, x, times, tol)
+    states = flow_points(field, x, times, tol)
     return OrbitSegment(base=x, times=times, states=states,
-                        speeds=speeds(field, states), variational=var)
+                        speeds=speeds(field, states))
 
 
 # ---------------------------------------------------------------------------

@@ -45,16 +45,6 @@ class FlowboxChart:
     def v_radius(self):
         return self.r0 * self.speed
 
-    def to_json_dict(self):
-        return {
-            "base": self.base.tolist(),
-            "L": self.L,
-            "r0": self.r0,
-            "speed": self.speed,
-            "flow_dir": self.flow_dir.tolist(),
-            "frame": self.frame.tolist(),
-        }
-
 
 def make_chart(field, x, L) -> FlowboxChart:
     x = np.asarray(x, dtype=float)

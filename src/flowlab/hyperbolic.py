@@ -102,14 +102,6 @@ class TangentSplitting:
     f_basis: np.ndarray  # (n, d, dim_f)
     steps: StepFlows     # passed on to the induced NormalSplitting
 
-    @property
-    def dim_e(self):
-        return self.e_basis.shape[2]
-
-    @property
-    def dim_f(self):
-        return self.f_basis.shape[2]
-
 
 @dataclass(frozen=True)
 class CocycleSpec:
@@ -153,14 +145,6 @@ class CocycleSpec:
                     if np.all(overlap_hi > overlap_lo):
                         raise DomainError("pragmatical boxes must be disjoint")
         return True
-
-    def to_json_dict(self):
-        d = {"kind": self.kind}
-        if self.box is not None:
-            d["box"] = self.box.to_json_dict()
-        if self.factors:
-            d["factors"] = [f.to_json_dict() for f in self.factors]
-        return d
 
 
 def trivial_cocycle():
@@ -393,7 +377,6 @@ def _power_sweeps(orbit, mats, fast, slow, warmup):
 
 def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
                               T_block: float, tol=1e-9,
-                              seed_splitting: Optional[NormalSplitting] = None,
                               warmup=0) -> NormalSplitting:
     """Power-sweep estimate of the dominated splitting along an orbit.
 
@@ -416,16 +399,10 @@ def estimate_normal_splitting(field, orbit: OrbitSegment, dim_s: int,
     _require_gap(mats, dim_u)
 
     n = orbit.n_nodes
-    if seed_splitting is not None:
-        U = frames[0].basis.T @ seed_splitting.unstable[0]
-        S_end = frames[-1].basis.T @ seed_splitting.stable[-1]
-        U = orthonormalize(U)
-        S_end = orthonormalize(S_end)
-    else:
-        # generic deterministic seeds; axis-aligned ones can be invariant
-        gen = np.random.default_rng(0x5EED)
-        U = orthonormalize(gen.normal(size=(nd, dim_u)))
-        S_end = orthonormalize(gen.normal(size=(nd, dim_s)))
+    # generic deterministic seeds; axis-aligned ones can be invariant
+    gen = np.random.default_rng(0x5EED)
+    U = orthonormalize(gen.normal(size=(nd, dim_u)))
+    S_end = orthonormalize(gen.normal(size=(nd, dim_s)))
 
     window, keep, unstable_coords, stable_coords = _power_sweeps(
         orbit, mats, U, S_end, warmup)

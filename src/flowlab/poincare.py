@@ -38,11 +38,6 @@ class NormalFrame:
             raise ValueError("basis is not perpendicular to the direction")
         return True
 
-    def to_json_dict(self):
-        return {"point": self.point.tolist(),
-                "direction": self.direction.tolist(),
-                "basis": self.basis.tolist()}
-
 
 def frame_at(field, x) -> NormalFrame:
     """Canonical frame at a regular point (direction = flow direction)."""
@@ -82,11 +77,6 @@ class NormalMap:
     def ambient_operator(self) -> np.ndarray:
         """The map as a (d, d) matrix acting on ambient normal vectors."""
         return self.target.basis @ self.matrix @ self.source.basis.T
-
-    def to_json_dict(self):
-        return {"source_frame": self.source.to_json_dict(),
-                "target_frame": self.target.to_json_dict(),
-                "matrix": self.matrix.tolist()}
 
 
 def _transport_basis(basis, Phi, e_target):

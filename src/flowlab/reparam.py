@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CrossingError, DomainError, EscapeError, HypothesisError,
                      NoPathError, SingularityError)
 from .fields import (Box, effective_lipschitz, estimate_lipschitz,
-                     flow_points, speed, speeds)
+                     flow_points, flow_states_batch, speed, speeds)
 from .flowbox import chart_radius, flowbox_invert, make_chart
 from .poincare import section_radius, sectional_value, target_chart
 from .util import write_csv
@@ -60,13 +60,6 @@ class Reparametrization:
         out = np.where(value < th[0], ts[0] + (value - th[0]), out)
         out = np.where(value > th[-1], ts[-1] + (value - th[-1]), out)
         return float(out) if out.ndim == 0 else out
-
-    def to_json_dict(self):
-        return {"knots": self.knots.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(np.asarray(d["knots"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -213,17 +206,18 @@ def fit_reparametrization(field, x, y, t_nodes, theta_nodes, *,
 # admissible shadowing level and drift bounds
 
 
-def estimate_speed_ratio_constant(field, region: Box, samples=2048, seed=0) -> float:
+def estimate_speed_ratio_constant(field, region: Box, seed=0) -> float:
     """Largest sampled relative distance c with |X| staying within a factor 2.
 
     Pairs (z, z') with d(z, z') < c |X(z)| must satisfy
-    (1/2)|X(z)| < |X(z')| < 2|X(z)|.  The sampled estimate is halved; the
-    analytic floor 1/(2 L_eff) (valid by the Lipschitz bound) is kept.
+    (1/2)|X(z)| < |X(z')| < 2|X(z)|, tested on 2048 sampled pairs.  The
+    sampled estimate is halved; the analytic floor 1/(2 L_eff) (valid by the
+    Lipschitz bound, from 256 Jacobian samples) is kept.
     """
     rng = np.random.default_rng(seed)
-    L = estimate_lipschitz(field, region, max(64, samples // 8), seed=seed)
+    L = estimate_lipschitz(field, region, 256, seed=seed)
     floor = 0.5 / effective_lipschitz(L)
-    pts = region.sample(rng, samples)
+    pts = region.sample(rng, 2048)
     rel_max = 50.0 * floor
     worst = rel_max
     sing = field.singular_speed()
@@ -267,15 +261,6 @@ class DriftReport:
     n_intervals: int
     bound_ok: bool
     surjectivity_ok: bool
-
-    def to_json_dict(self):
-        return {
-            "T": self.T, "epsilon": self.epsilon, "delta": self.delta_used,
-            "measured_sup": self.measured_sup, "drift": self.drift,
-            "prefix_drifts": self.prefix_drifts,
-            "n_intervals": self.n_intervals, "bound_ok": self.bound_ok,
-            "surjectivity_ok": self.surjectivity_ok,
-        }
 
 
 def drift_bounds_check(field, x, y, theta, T, epsilon, L, c,
@@ -410,7 +395,6 @@ def orbit_time_control_trials(field, region: Box, n_trials, seed=0, L=None,
     violations = 0
     performed = 0
     rounds = 0
-    from .fields import flow_states_batch
     sing = field.singular_speed()
     while performed < n_trials and rounds < 200 * max(1, n_trials // per_t):
         rounds += 1
@@ -460,10 +444,6 @@ class CrossingItem:
     t_offset: float
     node: np.ndarray
 
-    def to_json_dict(self):
-        return {"k": self.k, "T_k": self.T_k, "u": self.u.tolist(),
-                "t_offset": self.t_offset, "node": self.node.tolist()}
-
 
 @dataclass
 class CrossingSequenceResult:
@@ -475,17 +455,6 @@ class CrossingSequenceResult:
     max_t_offset: float
     max_section_defect: float
     max_normal_residual: float   # how far phi_theta(T_k)(y) is from node + u_k
-
-    def to_json_dict(self):
-        return {
-            "items": [it.to_json_dict() for it in self.items],
-            "delta": self.delta, "bounds_ok": self.bounds_ok,
-            "section_identity_ok": self.section_identity_ok,
-            "max_u_rel": self.max_u_rel,
-            "max_t_offset": self.max_t_offset,
-            "max_section_defect": self.max_section_defect,
-            "max_normal_residual": self.max_normal_residual,
-        }
 
 
 def crossing_sequence(field, x, y, theta, T, k_range, L,

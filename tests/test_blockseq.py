@@ -151,7 +151,7 @@ def test_divergence_detected():
     rng = np.random.default_rng(8)
     init = [rng.normal(size=sys_.block_dim(j)) for j in range(sys_.n_blocks)]
     with pytest.raises(DivergenceError):
-        solve_fixed_point(sys_, init, tol=1e-10, max_iter=200)
+        solve_fixed_point(sys_, init, tol=1e-10)
 
 
 def test_validate_rejects_bad_linear_parts():

@@ -1,8 +1,8 @@
 import contextlib
 import inspect
-import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,10 +157,14 @@ def test_flow_group_property(lorenz):
     tol = 1e-9
     x = np.array([1.0, 1.0, 1.0])
     s, t = 0.4, 0.7
-    pt, _ = flow(lorenz, x, t, tol)
-    p1, _ = flow(lorenz, pt, s, tol)
-    p2, _ = flow(lorenz, x, s + t, tol)
+    pt, Phi_t = flow(lorenz, x, t, tol)
+    p1, Phi_s = flow(lorenz, pt, s, tol)
+    p2, Phi_st = flow(lorenz, x, s + t, tol)
     assert np.linalg.norm(p2 - p1) <= 10 * tol * (abs(s) + abs(t)) * 100
+    # the chain rule Phi_{s+t}(x) = Phi_s(phi_t x) Phi_t(x), within 10x the
+    # integration tolerance (relative)
+    defect = np.linalg.norm(Phi_st - Phi_s @ Phi_t, 2)
+    assert defect <= 10 * tol * np.linalg.norm(Phi_st, 2)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -229,25 +233,32 @@ def test_estimate_lipschitz_empty_region(lorenz):
 
 def test_orbit_segment_invariants(lorenz):
     times = np.linspace(0.0, 1.0, 6)
-    tol = 1e-10
-    seg = sample_orbit(lorenz, np.array([1.0, 1.0, 1.0]), times, tol=tol,
-                       variational=True)
-    seg.validate(lorenz, rel=1e-9)
-    # variational cocycle within 10x the integration tolerance (relative)
-    assert seg.check_variational_cocycle(lorenz, 1, 4, tol=tol) <= 10 * tol
+    x = np.array([1.0, 1.0, 1.0])
+    seg = sample_orbit(lorenz, x, times, tol=1e-10)
+    assert seg.validate(lorenz)
+    assert seg.step() == pytest.approx(0.2, rel=1e-12)
+    sub = seg.slice(1, 4)
+    assert sub.base is seg.base and sub.n_nodes == 3
+    assert sub.states.tobytes() == seg.states[1:4].tobytes()
+    # a stored speed off by more than 1e-9 (relative) is caught
+    off = seg.speeds.copy()
+    off[2] *= 1.0 + 1e-8
+    with pytest.raises(DomainError):
+        replace(seg, speeds=off).validate(lorenz)
+    with pytest.raises(DomainError):
+        sample_orbit(lorenz, x, times[::-1])
 
 
 def test_orbit_serialization_round_trip(tmp_path, rotation):
-    seg = sample_orbit(rotation, np.array([1.0, 0.0]), np.linspace(0, 1, 4),
-                       variational=True)
-    d = seg.to_json_dict()
-    # row-major variational matrices
-    assert len(d["variational"][0]) == 4
-    text = json.dumps(d)
-    assert json.loads(text)["speeds"][0] == pytest.approx(1.0)
+    seg = sample_orbit(rotation, np.array([1.0, 0.0]), np.linspace(0, 1, 4))
+    assert seg.speeds[0] == pytest.approx(1.0)
     orbit_to_csv(seg, tmp_path / "orbit.csv")
     header = (tmp_path / "orbit.csv").read_text().splitlines()[0]
     assert header == "t,x_1,x_2,speed"
+    # the cells are float reprs: every value reads back bit for bit
+    rows = np.loadtxt(tmp_path / "orbit.csv", delimiter=",", skiprows=1)
+    assert rows.tobytes() == np.column_stack(
+        [seg.times, seg.states, seg.speeds]).tobytes()
 
 
 def test_custom_field_fd_jacobian_flagged():
@@ -545,14 +556,10 @@ def test_integration_modes_match_closed_form(kind, params, domain, x0):
     for t, p in zip(times, pts):
         assert close(p, _exact_flow(field, x, t)[0])
 
-    seg = sample_orbit(field, x, np.linspace(-1.0, 1.0, 9), tol, variational=True)
-    for t, state, Phi in zip(seg.times, seg.states, seg.variational):
+    for t in np.linspace(-1.0, 1.0, 9):
+        state, Phi = flow(field, x, t, tol)
         exact, exact_Phi = _exact_flow(field, x, t)
         assert close(state, exact) and close(Phi, exact_Phi)
-
-    state, Phi = flow(field, x, -0.6, tol)
-    exact, exact_Phi = _exact_flow(field, x, -0.6)
-    assert close(state, exact) and close(Phi, exact_Phi)
 
     # stacks of 1 and 3 members of sizes 1, 1e-2 and 1e-4, at frames of
     # both signs: each member within its own size

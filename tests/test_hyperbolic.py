@@ -52,17 +52,6 @@ def test_splitting_recovers_eigenbasis(diag_mixed):
     sp.validate(diag_mixed)
 
 
-def test_splitting_idempotent_under_seeding(diag_mixed):
-    orbit = sample_orbit(diag_mixed, np.array([0.0, 0.0, 1.0]),
-                         np.arange(7) * 1.0, tol=1e-12)
-    sp = estimate_normal_splitting(diag_mixed, orbit, 1, 1.0, tol=1e-12)
-    sp2 = estimate_normal_splitting(diag_mixed, orbit, 1, 1.0, tol=1e-12,
-                                    seed_splitting=sp)
-    for i in range(orbit.n_nodes):
-        dot = abs(float(sp.stable[i][:, 0] @ sp2.stable[i][:, 0]))
-        assert dot >= 1.0 - 1e-10
-
-
 def test_splitting_psi_invariance(diag_mixed):
     orbit = sample_orbit(diag_mixed, np.array([0.0, 0.0, np.exp(-4.0)]),
                          np.arange(13) * 2.0, tol=1e-12)

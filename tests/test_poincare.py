@@ -179,10 +179,3 @@ def test_sectional_derivative_uniform_bound(kind, params, box, T):
             assert np.linalg.norm(sm.derivative, 2) <= bound
             checked += 1
     assert checked >= 100
-
-
-def test_normal_map_json_shape(saddle2d):
-    m = linear_poincare(saddle2d, [1.0, 0.0], 0.5, tol=1e-10)
-    d = m.to_json_dict()
-    assert set(d) == {"source_frame", "target_frame", "matrix"}
-    assert set(d["source_frame"]) == {"point", "direction", "basis"}

@@ -53,12 +53,6 @@ def test_theta_inverse_round_trip(ts, q):
     assert th.inverse(th(q)) == pytest.approx(q, abs=1e-9)
 
 
-def test_theta_json_round_trip():
-    th = Reparametrization(np.array([[0.0, 0.1], [1.0, 1.4]]))
-    th2 = Reparametrization.from_json_dict(th.to_json_dict())
-    assert np.allclose(th.knots, th2.knots)
-
-
 # ----------------------------------------------------- rescaled sup distance
 
 
@@ -185,7 +179,7 @@ def test_admissible_delta_against_high_precision():
 
 def test_speed_ratio_constant_floor(rotation):
     c = estimate_speed_ratio_constant(rotation, Box([0.5, -0.5], [1.5, 0.5]),
-                                      samples=512, seed=3)
+                                      seed=3)
     assert c >= 0.5 / 1.05 * 0.999  # analytic floor 1/(2 L)
 
 

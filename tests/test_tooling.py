@@ -8,13 +8,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: `scripts/idle_options.py` output.  Kept on purpose: two private helper
-#: literals; `custom_field(jac, params)`, the only way to give a user field
-#: an analytic Jacobian; two exception annotations (pickling re-calls an
-#: exception with its message alone); `run_scenario(out)`, which the CLI
-#: passes as None without --out; and two scenario handlers that share the
-#: `(sc, field, out)` signature of the handler table without using all of
-#: it.  The public definitions that only tests call are kept because:
+#: `scripts/idle_options.py` output.  Only program calls (`src/`,
+#: `scripts/`, `perfbench/`) decide an option; a test's call does not.
+#: Kept on purpose:
+#: - two private helper literals, `_fd_jacobian(h)` and `_check_in_box(slack)`;
+#: - `cli.main(argv)`: the tests drive the CLI in-process;
+#: - `rebalance_sequence(L, T)`: the [eta e^{-LT}, eta^-1 e^{LT}] scale band,
+#:   and `sectional_poincare(max_radius=None)`: the section-radius check.
+#:   Only tests run either check today; both wait for ROADMAP item 10, the
+#:   honest Lorenz radii, and removing them would loosen a check;
+#: - `run_scenario(out, seed)`: the CLI passes None without --out or --seed;
+#: - two exception annotations (pickling re-calls an exception with its
+#:   message alone);
+#: - two scenario handlers that share the `(sc, field, out)` signature of
+#:   the handler table without using all of it.
+#: Not listed, and kept too: `NormalMap.compose`, which ROADMAP item 7
+#: needs, and every signature that `perfbench/` calls (such as
+#: `assemble_block_system(enforce_radius, lip_samples, seed)`,
+#: `psi_ambient`, `sample_orbit(tol)` and `flow_states_batch(t_eval)`).
+#: The public definitions that only tests call are kept because:
 #: - `custom_field` and `evaluate` are public API;
 #: - `apply_hyperbolic_operator` is the test oracle of the block solver (the
 #:   row map that `solve_hyperbolic_operator` inverts), `flowbox_map` that
@@ -27,15 +39,18 @@ ROOT = Path(__file__).resolve().parents[1]
 #:   `induce_from_tangent_splitting`) waits for ROADMAP item 4, the Lorenz
 #:   singularity, and `crossing_sequence` for item 12.
 ALLOWED = """\
-idle default: 4
+idle default: 5
+  cli.main(argv=None)
   fields._fd_jacobian(h=1e-06)
-  fields.custom_field(jac=None)
-  fields.custom_field(params=())
   flowbox._check_in_box(slack=1e-09)
-filled default: 3
+  hyperbolic.rebalance_sequence(L=None)
+  hyperbolic.rebalance_sequence(T=None)
+filled default: 5
   cli.run_scenario(out=None)
+  cli.run_scenario(seed=None)
   errors.HypothesisError.__init__(measured_sup=None)
   errors.CrossingError.__init__(k=None)
+  poincare.sectional_poincare(max_radius=None)
 idle scenario key: 0
 unread parameter: 2
   cli._run_fixedpoint(field)
@@ -89,6 +104,25 @@ def test_idle_options_finds_an_unread_parameter(tmp_path):
     for d in ("scripts", "perfbench"):
         (tmp_path / d).mkdir()
     assert idle_options.scan(tmp_path)[2] == ["m.f(field)", "m.C.h(a)"]
+
+
+def test_idle_options_counts_only_program_calls(tmp_path):
+    # a default that only a test sets is idle, a None default that only a
+    # test leaves out is filled, and a definition that no program calls is
+    # skipped (the test-only list names it)
+    pkg = tmp_path / "src" / "flowlab"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text("def f(x, knob=3, out=None):\n"
+                              "    return x, knob, out\n\n\n"
+                              "def oracle(y=1):\n    return y\n")
+    for d in ("tests", "scripts", "perfbench"):
+        (tmp_path / d).mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("f(1, out=2)\n")
+    (tmp_path / "tests" / "t.py").write_text("f(1, knob=4)\nf(2)\n"
+                                             "oracle(y=2)\n")
+    idle, filled, _ = _idle_options().scan(tmp_path)
+    assert idle == ["m.f(knob=3)"]
+    assert filled == ["m.f(out=None)"]
 
 
 def test_idle_options_finds_a_test_only_definition(tmp_path):
