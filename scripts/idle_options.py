@@ -18,17 +18,22 @@ prints five lists:
                         the `self` or `cls` of a method is left out)
     test-only definition
                         a public module-level function or class of
-                        `src/flowlab` that only `tests/` calls (an
-                        `__init__` export is not a call)
+                        `src/flowlab`, or a public method of such a class
+                        (`module.Class.method`), that only `tests/` calls
+                        (an `__init__` export is not a call)
 
 `tol` is left out: it is the accuracy contract of the whole API.  A call
 that passes a parameter sets it whatever the value (a variable that may
 hold `None` included), a call with `*args` or `**kwargs` counts as setting
 every parameter, and a function that no program calls by name (a handler
 in a table, a method reached only through an operator, a definition on
-the test-only list) is not listed.  A scenario text sets a key of command
-X with an indented line `key ...` under a `command X` line.  Run from
-anywhere:
+the test-only list) is not listed.  Name matching cannot tell apart
+methods that share a name: a program call of `ScanConfig.validate()` or
+`CocycleSpec.validate(field)` counts for every `validate`, so a test-only
+method with a name that a program calls elsewhere is not listed, and its
+defaults are judged by the other method's calls.  A scenario text sets a
+key of command X with an indented line `key ...` under a `command X` line.
+Run from anywhere:
 
     python3 scripts/idle_options.py
 """
@@ -186,17 +191,34 @@ def _set_keys(texts):
     return keys
 
 
+def _public(path):
+    """(qualified name, called name) per public module-level function or
+    class and per public method of such a class (a property is read, not
+    called, and is left out)."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if (isinstance(m, ast.FunctionDef)
+                        and not m.name.startswith("_")
+                        and not any(isinstance(d, ast.Name)
+                                    and d.id == "property"
+                                    for d in m.decorator_list)):
+                    yield f"{path.stem}.{node.name}.{m.name}", m.name
+
+
 def test_only(root=ROOT):
     """Public definitions of `src/flowlab` that only the tests call."""
     called = {d: set(_calls(sorted((root / d).rglob("*.py"))))
               for d in CALLER_DIRS}
     program = set().union(*(called[d] for d in PROGRAM_DIRS))
-    return [f"{path.stem}.{node.name}"
+    return [qual
             for path in sorted((root / "src" / "flowlab").glob("*.py"))
-            for node in ast.parse(path.read_text(), str(path)).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name in called["tests"] and node.name not in program]
+            for qual, name in _public(path)
+            if name in called["tests"] and name not in program]
 
 
 def idle_keys(root=ROOT):

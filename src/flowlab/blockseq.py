@@ -22,7 +22,8 @@ from .errors import DivergenceError, DomainError, NoCertificateError
 from .hyperbolic import RebalanceResult, rebalance_sequence
 from .poincare import (linear_poincare_from_flow, psi_from_flow,
                        section_radius, sectional_value, target_chart)
-from .util import mininorm, opnorm, orthonormalize, write_csv
+from .util import (mininorm, opnorm, orthonormalize, random_normal,
+                   write_csv)
 
 
 def angle(S, U) -> float:
@@ -30,13 +31,9 @@ def angle(S, U) -> float:
 
     Computed from the largest singular value of the cross-projection of the
     orthonormalized bases; this equals the sine of the minimal principal
-    angle, which is the value of the symmetrized infimum.
+    angle, which is the value of the symmetrized infimum.  Subspaces within
+    1e-12 of meeting have angle 0.
     """
-    return angle_with_flag(S, U)[0]
-
-
-def angle_with_flag(S, U):
-    """(angle, flag); the flag marks subspaces within 1e-12 of meeting."""
     S = orthonormalize(np.atleast_2d(np.asarray(S, dtype=float)))
     U = orthonormalize(np.atleast_2d(np.asarray(U, dtype=float)))
     if S.shape[1] == 0 or U.shape[1] == 0:
@@ -44,8 +41,8 @@ def angle_with_flag(S, U):
     sv = np.linalg.svd(S.T @ U, compute_uv=False)
     top = float(sv[0]) if sv.size else 0.0
     if top >= 1.0 - 1e-12:
-        return 0.0, True
-    return float(np.sqrt(max(0.0, 1.0 - top * top))), False
+        return 0.0
+    return float(np.sqrt(max(0.0, 1.0 - top * top)))
 
 
 @dataclass
@@ -102,24 +99,6 @@ class BlockSequenceSystem:
     def zero(self):
         return [np.zeros(self.block_dim(j)) for j in range(self.n_blocks)]
 
-    def validate(self, tol=1e-9):
-        if len(self.A) != self.n_blocks - 1 or len(self.D) != self.n_blocks - 1:
-            raise DomainError("need exactly n-1 linear maps")
-        for j in range(self.n_blocks - 1):
-            if opnorm(self.A[j]) > self.eta * (1 + tol):
-                raise DomainError(f"|A_{j}| exceeds eta")
-            if opnorm(np.linalg.inv(self.D[j])) > self.eta * (1 + tol):
-                raise DomainError(f"|D_{j}^-1| exceeds eta")
-        for j in range(self.n_blocks):
-            if angle(self.bases_s[j], self.bases_u[j]) <= self.alpha * (1 - 1e-9):
-                raise DomainError(f"splitting angle at block {j} below alpha")
-        if self.phis is not None:
-            for j, phi in enumerate(self.phis):
-                z = phi(np.zeros(self.block_dim(j)))
-                if np.linalg.norm(z) > 1e-9:
-                    raise DomainError(f"phi_{j}(0) != 0")
-        return True
-
     def apply_phi(self, v):
         """Perturbation image per block (slot j+1 holds phi_j(v_j))."""
         out = self.zero()
@@ -138,34 +117,15 @@ def contraction_bound(system: BlockSequenceSystem) -> float:
 # the hyperbolic operator and its inverse
 
 
-def apply_hyperbolic_operator(system, v):
-    """Row form of (I - L) with split boundary rows.
+def solve_hyperbolic_operator(system, rows_s, rows_u):
+    """Inverse of (I - L) in row form with split boundary rows; returns
+    ambient block vectors.
 
     Stable rows at block j >= lo+1 read  s_j - A_{j-1} s_{j-1}; the stable
     row at the left end reads s_lo.  Unstable rows at j <= hi-1 read
     u_{j+1} - D_j u_j (anchored at the source block); the unstable row at
-    the right end reads u_hi.  `solve_hyperbolic_operator` is the exact
-    inverse of this map.
+    the right end reads u_hi.
     """
-    n = system.n_blocks
-    rows_s = []
-    rows_u = []
-    coords = [system.split(j, v[j]) for j in range(n)]
-    for j in range(n):
-        a, b = coords[j]
-        if j == 0:
-            rows_s.append(a.copy())
-        else:
-            rows_s.append(a - system.A[j - 1] @ coords[j - 1][0])
-        if j == n - 1:
-            rows_u.append(b.copy())
-        else:
-            rows_u.append(coords[j + 1][1] - system.D[j] @ b)
-    return rows_s, rows_u
-
-
-def solve_hyperbolic_operator(system, rows_s, rows_u):
-    """Inverse of `apply_hyperbolic_operator`; returns ambient block vectors."""
     n = system.n_blocks
     a = [None] * n
     b = [None] * n
@@ -314,7 +274,6 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
         raise DomainError("rebalance data does not match the orbit window")
 
     rng = np.random.default_rng(seed)
-    d = field.dimension
     bases_s = [splitting.stable[j] for j in range(n)]
     bases_u = [splitting.unstable[j] for j in range(n)]
     psi_maps = [linear_poincare_from_flow(field, orbit.states[j], T,
@@ -386,12 +345,10 @@ def assemble_block_system(field, splitting, rebalance, T, epsilon, L,
         fx /= np.linalg.norm(fx)
 
         def normal_sample(radius_factor):
-            u = rng.normal(size=d)
-            u -= np.dot(u, fx) * fx
-            nrm = np.linalg.norm(u)
-            if nrm < 1e-12:
+            u = random_normal(rng, fx)
+            if u is None:
                 return None
-            return u / nrm * scale * rng.uniform(0.0, radius_factor)
+            return u * scale * rng.uniform(0.0, radius_factor)
 
         best = 0.0
         # pair quotients concentrated where the cutoff blend lives

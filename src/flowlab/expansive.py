@@ -25,7 +25,7 @@ from .flowbox import chart_radius, flowbox_invert, make_chart
 from .poincare import section_radius
 from .reparam import (Reparametrization, admissible_delta,
                       fit_reparametrization)
-from .util import read_json, write_json
+from .util import random_normal, read_json, write_json
 
 MODES = ("rescaled", "komuro", "bowen_walters")
 ARC_TOL = 1e-6  # on an orbit arc: normal offset <= ARC_TOL * |X|
@@ -286,13 +286,9 @@ def _candidate_pairs(config, orbits):
         sx = speed(field, bp)
         if sx <= field.singular_speed():
             continue
-        e = np.asarray(field.func(bp), dtype=float) / sx
-        u = rng.normal(size=field.dimension)
-        u -= np.dot(u, e) * e
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
+        u = random_normal(rng, np.asarray(field.func(bp), dtype=float) / sx)
+        if u is None:
             continue
-        u /= nu
         for delta in config.deltas:
             for size in (0.5 * delta, delta):
                 pairs.append((bp, bp + size * sx * u))

@@ -919,15 +919,6 @@ class OrbitSegment:
             raise DomainError("orbit grid is not uniform")
         return float(dt[0]) if dt.size else 0.0
 
-    def validate(self, field):
-        """Check each stored speed against the field, to 1e-9 relative."""
-        for i in range(self.n_nodes):
-            s = speed(field, self.states[i])
-            ref = max(abs(self.speeds[i]), field.singular_speed())
-            if abs(s - self.speeds[i]) > 1e-9 * ref:
-                raise DomainError(f"stored speed at node {i} off by more than 1e-9")
-        return True
-
     def slice(self, lo, hi):
         """Sub-segment on node indices [lo, hi) (base point unchanged)."""
         return OrbitSegment(base=self.base, times=self.times[lo:hi],

@@ -69,15 +69,6 @@ def _check_in_box(chart, v, t, slack=1e-9):
     return v
 
 
-def flowbox_map(chart: FlowboxChart, v, t, tol=1e-9):
-    """Chart embedding: flows the normal translate base+v for time t."""
-    v = _check_in_box(chart, v, t)
-    if t == 0.0:
-        return chart.base + v
-    state, _ = flow(chart.field, chart.base + v, t, tol)
-    return state
-
-
 def flowbox_invert(chart: FlowboxChart, y, tol=1e-9):
     """Unique chart preimage (v, t) of y, by Newton iteration.
 

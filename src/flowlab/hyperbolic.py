@@ -71,27 +71,6 @@ class NormalSplitting:
             return self.steps.flows[i]
         return flow(field, self.orbit.states[i], t, tol)
 
-    @property
-    def dim_s(self):
-        return self.stable.shape[2]
-
-    @property
-    def dim_u(self):
-        return self.unstable.shape[2]
-
-    def validate(self, field, tol=1e-9):
-        d = self.orbit.states.shape[1]
-        if self.dim_s + self.dim_u != d - 1:
-            raise DomainError("splitting dimensions must add to d-1")
-        for i in range(self.orbit.n_nodes):
-            e = unit(np.asarray(field.func(self.orbit.states[i]), dtype=float))
-            for B in (self.stable[i], self.unstable[i]):
-                if np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) > tol:
-                    raise DomainError(f"basis at node {i} not orthonormal")
-                if np.max(np.abs(B.T @ e)) > tol:
-                    raise DomainError(f"basis at node {i} not normal to the flow")
-        return True
-
 
 @dataclass(frozen=True)
 class TangentSplitting:
@@ -117,18 +96,17 @@ class CocycleSpec:
     box: Optional[object] = None       # fields.Box for 'pragmatical'
     factors: tuple = ()                # CocycleSpecs for 'product'
 
-    def validate(self, field=None):
+    def validate(self, field):
         if self.kind not in ("trivial", "flow_speed", "pragmatical", "product"):
             raise DomainError(f"unknown cocycle kind {self.kind!r}")
         if self.kind == "pragmatical":
             if self.box is None:
                 raise DomainError("pragmatical cocycle needs an isolating box")
-            if field is not None:
-                inside = [s for s in field.known_singularities()
-                          if self.box.contains(s)]
-                if len(inside) != 1:
-                    raise DomainError(
-                        f"isolating box must contain exactly one singularity, found {len(inside)}")
+            inside = [s for s in field.known_singularities()
+                      if self.box.contains(s)]
+            if len(inside) != 1:
+                raise DomainError(
+                    f"isolating box must contain exactly one singularity, found {len(inside)}")
         if self.kind == "product":
             if not self.factors:
                 raise DomainError("product cocycle needs factors")

@@ -1,11 +1,9 @@
-"""Linear, extended and sectional Poincare maps on normal sections.
+"""Linear and sectional Poincare maps on normal sections.
 
 The linear Poincare flow pushes a normal vector with the variational flow
-and projects it orthogonally back onto the normal space at the image point;
-the extended variant does the same over an arbitrary unit direction evolved
-by the normalized variational flow.  The sectional Poincare map is the
-nonlinear holonomy between normal sections, realized through the flowbox
-chart at the image point.
+and projects it orthogonally back onto the normal space at the image point.
+The sectional Poincare map is the nonlinear holonomy between normal
+sections, realized through the flowbox chart at the image point.
 """
 
 from __future__ import annotations
@@ -28,16 +26,6 @@ class NormalFrame:
     direction: np.ndarray
     basis: np.ndarray  # (d, d-1)
 
-    def validate(self, tol=1e-12):
-        if abs(np.linalg.norm(self.direction) - 1.0) > tol:
-            raise ValueError("direction is not unit")
-        G = self.basis.T @ self.basis
-        if np.max(np.abs(G - np.eye(self.basis.shape[1]))) > 10 * tol:
-            raise ValueError("basis is not orthonormal")
-        if np.max(np.abs(self.basis.T @ self.direction)) > 10 * tol:
-            raise ValueError("basis is not perpendicular to the direction")
-        return True
-
 
 def frame_at(field, x) -> NormalFrame:
     """Canonical frame at a regular point (direction = flow direction)."""
@@ -46,12 +34,6 @@ def frame_at(field, x) -> NormalFrame:
         raise SingularityError(f"{x.tolist()} is singular")
     e = unit(np.asarray(field.func(x), dtype=float))
     return NormalFrame(point=x, direction=e, basis=orthonormal_complement(e))
-
-
-def frame_for_direction(point, e) -> NormalFrame:
-    e = unit(np.asarray(e, dtype=float))
-    return NormalFrame(point=np.asarray(point, dtype=float), direction=e,
-                       basis=orthonormal_complement(e))
 
 
 @dataclass(frozen=True)
@@ -113,30 +95,6 @@ def linear_poincare_from_flow(field, x, t, state, Phi) -> NormalMap:
     tgt = NormalFrame(point=state, direction=e1, basis=basis1)
     # basis1 is already perpendicular to e1, so basis1^T Phi is the projected map
     return NormalMap(source=src, target=tgt, matrix=basis1.T @ Phi @ src.basis)
-
-
-def extended_linear_poincare(field, x, e, t, tol=1e-9):
-    """Direction evolution and the projected variational flow over it.
-
-    Returns (evolved unit direction, NormalMap).  Over the flow direction of
-    a regular point this coincides with `linear_poincare`.
-    """
-    x = np.asarray(x, dtype=float)
-    e = unit(np.asarray(e, dtype=float))
-    src = frame_for_direction(x, e)
-    if t == 0.0:
-        return e, NormalMap(source=src, target=src,
-                            matrix=np.eye(field.dimension - 1))
-    state, Phi = flow(field, x, t, tol)
-    moved = Phi @ e
-    norm = np.linalg.norm(moved)
-    if norm == 0.0:
-        raise SingularityError("variational image of the direction vanished")
-    e1 = moved / norm
-    basis1 = _transport_basis(src.basis, Phi, e1)
-    tgt = NormalFrame(point=state, direction=e1, basis=basis1)
-    return e1, NormalMap(source=src, target=tgt,
-                         matrix=basis1.T @ Phi @ src.basis)
 
 
 def psi_ambient(field, x, t, tol=1e-9):

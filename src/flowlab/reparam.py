@@ -17,10 +17,10 @@ import numpy as np
 from .errors import (CrossingError, DomainError, EscapeError, HypothesisError,
                      NoPathError, SingularityError)
 from .fields import (Box, effective_lipschitz, estimate_lipschitz,
-                     flow_points, flow_states_batch, speed, speeds)
+                     flow_points, speed, speeds)
 from .flowbox import chart_radius, flowbox_invert, make_chart
 from .poincare import section_radius, sectional_value, target_chart
-from .util import write_csv
+from .util import random_normal, write_csv
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,8 @@ class Reparametrization:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ShadowingInstance:
-    """One measured shadowing pair with its rescaled distance profile."""
-
-    x: np.ndarray
-    y: np.ndarray
-    theta: Reparametrization
-    horizon: tuple
-    grid: np.ndarray
-    rescaled_distances: np.ndarray
-
-    @property
-    def delta(self):
-        return float(np.max(self.rescaled_distances))
-
-
-def _pair_profile(field, x, y, theta, horizon, n_samples, tol):
+def rescaled_sup_distance(field, x, y, theta, horizon, n_samples, tol=1e-9):
+    """Max over a uniform grid of d(phi_t(x), phi_theta(t)(y)) / |X(phi_t(x))|."""
     lo, hi = float(horizon[0]), float(horizon[1])
     if n_samples < 2:
         raise DomainError("need at least two samples")
@@ -91,20 +76,7 @@ def _pair_profile(field, x, y, theta, horizon, n_samples, tol):
         t_bad = float(grid[int(np.argmin(sx))])
         raise SingularityError(f"base orbit is singular at t={t_bad}", time=t_bad)
     dist = np.linalg.norm(xs - ys, axis=1)
-    return grid, xs, ys, sx, dist / sx
-
-
-def rescaled_sup_distance(field, x, y, theta, horizon, n_samples, tol=1e-9):
-    """Max over a uniform grid of d(phi_t(x), phi_theta(t)(y)) / |X(phi_t(x))|."""
-    _, _, _, _, prof = _pair_profile(field, x, y, theta, horizon, n_samples, tol)
-    return float(np.max(prof))
-
-
-def measure_shadowing(field, x, y, theta, horizon, n_samples, tol=1e-9) -> ShadowingInstance:
-    grid, _, _, _, prof = _pair_profile(field, x, y, theta, horizon, n_samples, tol)
-    return ShadowingInstance(x=np.asarray(x, float), y=np.asarray(y, float),
-                             theta=theta, horizon=(float(horizon[0]), float(horizon[1])),
-                             grid=grid, rescaled_distances=prof)
+    return float(np.max(dist / sx))
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +303,9 @@ def drift_trials(field, region: Box, epsilon, T, n_trials, seed=0,
         sx = speed(field, x)
         if sx <= 1e3 * field.singular_speed() or not field.domain.contains(x):
             continue
-        e = np.asarray(field.func(x), dtype=float) / sx
-        u = rng.normal(size=field.dimension)
-        u = u - np.dot(u, e) * e
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
+        u = random_normal(rng, np.asarray(field.func(x), dtype=float) / sx)
+        if u is None:
             continue
-        u /= nu
         rho = 0.5 * delta
         result = None
         for _ in range(8):
@@ -373,63 +341,6 @@ def drift_trials(field, region: Box, epsilon, T, n_trials, seed=0,
 def trials_to_csv(trials, path):
     write_csv(path, ["trial", "delta", "drift", "bound_ok"],
               [[t.index, t.delta, t.drift, t.bound_ok] for t in trials])
-
-
-# ---------------------------------------------------------------------------
-# randomized orbit-time control (|t| <= 3 delta)
-
-
-def orbit_time_control_trials(field, region: Box, n_trials, seed=0, L=None,
-                              tol=1e-9):
-    """Sampled check that d(x, phi_t(x)) <= delta |X(x)| forces |t| <= 3 delta.
-
-    Trials draw (x, t) with |t| <= r0, compute the orbit displacement, draw
-    delta between the measured rescaled displacement and r0/3 (hypothesis
-    satisfied by construction) and count violations of |t| <= 3 delta.
-    """
-    rng = np.random.default_rng(seed)
-    if L is None:
-        L = estimate_lipschitz(field, region, 256, seed=seed)
-    r0 = chart_radius(L)
-    per_t = 64
-    violations = 0
-    performed = 0
-    rounds = 0
-    sing = field.singular_speed()
-    while performed < n_trials and rounds < 200 * max(1, n_trials // per_t):
-        rounds += 1
-        tv = rng.uniform(-r0, r0)
-        xs = []
-        tries = 0
-        while len(xs) < per_t and tries < 50:
-            tries += 1
-            cand = region.sample(rng, 4 * per_t)
-            for p in cand:
-                if speed(field, p) > 1e3 * sing and field.domain.contains(p):
-                    xs.append(p)
-                if len(xs) >= per_t:
-                    break
-        if not xs:
-            continue
-        xs = np.asarray(xs)
-        try:
-            imgs = flow_states_batch(field, xs, float(tv), tol)
-        except EscapeError:
-            continue
-        for x, img in zip(xs, imgs):
-            if performed >= n_trials:
-                break
-            sx = speed(field, x)
-            rel = np.linalg.norm(img - x) / sx
-            if rel >= r0 / 3.0:
-                continue  # hypothesis not satisfiable for this draw
-            delta = rng.uniform(rel, r0 / 3.0)
-            performed += 1
-            if abs(tv) > 3.0 * delta:
-                violations += 1
-    if performed < n_trials:
-        raise DomainError("could not generate enough admissible trials")
-    return performed, violations
 
 
 # ---------------------------------------------------------------------------

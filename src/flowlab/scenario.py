@@ -34,7 +34,7 @@ _COMMAND_KEYS = {
 # pipeline shares split's window (cli._split_window), so it takes its keys
 _COMMAND_KEYS["pipeline"] = _COMMAND_KEYS["split"] | {"sample-box"}
 
-_FIELD_KEYS = {"matrix", "params", "domain", "dimension"}
+_FIELD_KEYS = {"matrix", "params", "domain"}
 
 
 @dataclass

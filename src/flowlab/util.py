@@ -17,6 +17,17 @@ def unit(v):
     return v / n
 
 
+def random_normal(rng, e):
+    """A random unit vector perpendicular to the unit vector e: a normal
+    draw with its e-component removed, or None when that is below 1e-12."""
+    u = rng.normal(size=e.size)
+    u = u - np.dot(u, e) * e
+    nu = np.linalg.norm(u)
+    if nu < 1e-12:
+        return None
+    return u / nu
+
+
 def orthonormal_complement(e):
     """Deterministic orthonormal basis of the hyperplane perpendicular to unit e.
 

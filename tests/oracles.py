@@ -1,9 +1,9 @@
-"""Brute-force reference implementations that the tests compare against.
+"""Reference implementations and checks that only the tests use.
 
-Each one computes the same quantity as a flowlab function by exhaustive
-search, with none of its algorithm: `brute_force_bottleneck` against
-`reparam.lattice_bottleneck`, `angle_brute` against `blockseq.angle`.
-`verify_box_bounds_loop` is the per-node loop form of
+Brute-force oracles compute the same quantity as a flowlab function by
+exhaustive search, with none of its algorithm: `brute_force_bottleneck`
+against `reparam.lattice_bottleneck`, `angle_brute` against
+`blockseq.angle`.  `verify_box_bounds_loop` is the per-node loop form of
 `flowbox.verify_box_bounds`: the same arithmetic, one grid node at a time.
 `estimate_lipschitz_loop` is the per-sample loop form of
 `fields.estimate_lipschitz`.  `domination_entries_loop` is
@@ -13,18 +13,31 @@ three `evaluate_cocycle` calls per (node, t), each with its own flow.
 cocycle identity h(x, s+t) = h(x, s) h(phi_s x, t).
 `estimate_solve_norm` probes the sup-norm of `blockseq`'s (I - L)^{-1}
 from below, against its closed-form bound, and `orbit_to_csv` writes an
-orbit segment as CSV; only tests use either.
-"""
+orbit segment as CSV.
 
+Forward maps whose inverse or special case flowlab computes:
+`flowbox_map`, the chart embedding that `flowbox.flowbox_invert` inverts;
+`apply_hyperbolic_operator`, the row map that
+`blockseq.solve_hyperbolic_operator` inverts; `extended_linear_poincare`,
+which equals `poincare.linear_poincare` over the flow direction.
+`orbit_time_control_trials` runs acceptance check C2, and
+`validate_orbit_segment`, `validate_normal_splitting` and
+`validate_block_system` check the invariants of flowlab's records.
+"""
 import numpy as np
 
-from flowlab.blockseq import solve_linear_part
-from flowlab.errors import NoPathError
-from flowlab.fields import LIPSCHITZ_SAFETY, flow, speeds
-from flowlab.flowbox import BoxBoundsReport, _ball_grid, _time_frames
+from flowlab.blockseq import angle, solve_linear_part
+from flowlab.errors import (DomainError, EscapeError, NoPathError,
+                            SingularityError)
+from flowlab.fields import (LIPSCHITZ_SAFETY, estimate_lipschitz, flow,
+                            flow_states_batch, speed, speeds)
+from flowlab.flowbox import (BoxBoundsReport, _ball_grid, _check_in_box,
+                             _time_frames, chart_radius)
 from flowlab.hyperbolic import evaluate_cocycle
-from flowlab.poincare import psi_ambient
-from flowlab.util import mininorm, opnorm, orthonormalize, unit, write_csv
+from flowlab.poincare import (NormalFrame, NormalMap, _transport_basis,
+                              psi_ambient)
+from flowlab.util import (mininorm, opnorm, orthonormal_complement,
+                          orthonormalize, unit, write_csv)
 
 _STEPS = ((1, 0), (0, 1), (1, 1))
 
@@ -232,3 +245,166 @@ def orbit_to_csv(segment, path):
     rows = [[segment.times[i], *segment.states[i], segment.speeds[i]]
             for i in range(segment.n_nodes)]
     write_csv(path, header, rows)
+
+
+def flowbox_map(chart, v, t, tol=1e-9):
+    """Chart embedding: flows the normal translate base+v for time t."""
+    v = _check_in_box(chart, v, t)
+    if t == 0.0:
+        return chart.base + v
+    state, _ = flow(chart.field, chart.base + v, t, tol)
+    return state
+
+
+def apply_hyperbolic_operator(system, v):
+    """Row form of (I - L) with split boundary rows, in the row convention
+    that `blockseq.solve_hyperbolic_operator` states and inverts exactly."""
+    n = system.n_blocks
+    rows_s = []
+    rows_u = []
+    coords = [system.split(j, v[j]) for j in range(n)]
+    for j in range(n):
+        a, b = coords[j]
+        if j == 0:
+            rows_s.append(a.copy())
+        else:
+            rows_s.append(a - system.A[j - 1] @ coords[j - 1][0])
+        if j == n - 1:
+            rows_u.append(b.copy())
+        else:
+            rows_u.append(coords[j + 1][1] - system.D[j] @ b)
+    return rows_s, rows_u
+
+
+def frame_for_direction(point, e) -> NormalFrame:
+    e = unit(np.asarray(e, dtype=float))
+    return NormalFrame(point=np.asarray(point, dtype=float), direction=e,
+                       basis=orthonormal_complement(e))
+
+
+def extended_linear_poincare(field, x, e, t, tol=1e-9):
+    """Direction evolution and the projected variational flow over it.
+
+    Returns (evolved unit direction, NormalMap).  Over the flow direction of
+    a regular point this coincides with `linear_poincare`.
+    """
+    x = np.asarray(x, dtype=float)
+    e = unit(np.asarray(e, dtype=float))
+    src = frame_for_direction(x, e)
+    if t == 0.0:
+        return e, NormalMap(source=src, target=src,
+                            matrix=np.eye(field.dimension - 1))
+    state, Phi = flow(field, x, t, tol)
+    moved = Phi @ e
+    norm = np.linalg.norm(moved)
+    if norm == 0.0:
+        raise SingularityError("variational image of the direction vanished")
+    e1 = moved / norm
+    basis1 = _transport_basis(src.basis, Phi, e1)
+    tgt = NormalFrame(point=state, direction=e1, basis=basis1)
+    return e1, NormalMap(source=src, target=tgt,
+                         matrix=basis1.T @ Phi @ src.basis)
+
+
+
+def orbit_time_control_trials(field, region, n_trials, seed=0, L=None,
+                              tol=1e-9):
+    """Sampled check that d(x, phi_t(x)) <= delta |X(x)| forces |t| <= 3 delta.
+
+    Trials draw (x, t) with |t| <= r0, compute the orbit displacement, draw
+    delta between the measured rescaled displacement and r0/3 (hypothesis
+    satisfied by construction) and count violations of |t| <= 3 delta.
+    """
+    rng = np.random.default_rng(seed)
+    if L is None:
+        L = estimate_lipschitz(field, region, 256, seed=seed)
+    r0 = chart_radius(L)
+    per_t = 64
+    violations = 0
+    performed = 0
+    rounds = 0
+    sing = field.singular_speed()
+    while performed < n_trials and rounds < 200 * max(1, n_trials // per_t):
+        rounds += 1
+        tv = rng.uniform(-r0, r0)
+        xs = []
+        tries = 0
+        while len(xs) < per_t and tries < 50:
+            tries += 1
+            cand = region.sample(rng, 4 * per_t)
+            for p in cand:
+                if speed(field, p) > 1e3 * sing and field.domain.contains(p):
+                    xs.append(p)
+                if len(xs) >= per_t:
+                    break
+        if not xs:
+            continue
+        xs = np.asarray(xs)
+        try:
+            imgs = flow_states_batch(field, xs, float(tv), tol)
+        except EscapeError:
+            continue
+        for x, img in zip(xs, imgs):
+            if performed >= n_trials:
+                break
+            sx = speed(field, x)
+            rel = np.linalg.norm(img - x) / sx
+            if rel >= r0 / 3.0:
+                continue  # hypothesis not satisfiable for this draw
+            delta = rng.uniform(rel, r0 / 3.0)
+            performed += 1
+            if abs(tv) > 3.0 * delta:
+                violations += 1
+    if performed < n_trials:
+        raise DomainError("could not generate enough admissible trials")
+    return performed, violations
+
+
+
+
+def validate_orbit_segment(segment, field):
+    """Check each stored speed against the field, to 1e-9 relative."""
+    for i in range(segment.n_nodes):
+        s = speed(field, segment.states[i])
+        ref = max(abs(segment.speeds[i]), field.singular_speed())
+        if abs(s - segment.speeds[i]) > 1e-9 * ref:
+            raise DomainError(f"stored speed at node {i} off by more than 1e-9")
+    return True
+
+
+def validate_normal_splitting(splitting, field):
+    """Orthonormal stable and unstable bases, normal to the flow at every
+    node to 1e-9, with dimensions adding to d - 1."""
+    d = splitting.orbit.states.shape[1]
+    if splitting.stable.shape[2] + splitting.unstable.shape[2] != d - 1:
+        raise DomainError("splitting dimensions must add to d-1")
+    for i in range(splitting.orbit.n_nodes):
+        e = unit(np.asarray(field.func(splitting.orbit.states[i]), dtype=float))
+        for B in (splitting.stable[i], splitting.unstable[i]):
+            if np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) > 1e-9:
+                raise DomainError(f"basis at node {i} not orthonormal")
+            if np.max(np.abs(B.T @ e)) > 1e-9:
+                raise DomainError(f"basis at node {i} not normal to the flow")
+    return True
+
+
+def validate_block_system(system):
+    """n - 1 linear maps within eta, splitting angles at least alpha and
+    phi_j(0) = 0."""
+    n = system.n_blocks
+    if len(system.A) != n - 1 or len(system.D) != n - 1:
+        raise DomainError("need exactly n-1 linear maps")
+    for j in range(n - 1):
+        if opnorm(system.A[j]) > system.eta * (1 + 1e-9):
+            raise DomainError(f"|A_{j}| exceeds eta")
+        if opnorm(np.linalg.inv(system.D[j])) > system.eta * (1 + 1e-9):
+            raise DomainError(f"|D_{j}^-1| exceeds eta")
+    for j in range(n):
+        if angle(system.bases_s[j], system.bases_u[j]) <= system.alpha * (1 - 1e-9):
+            raise DomainError(f"splitting angle at block {j} below alpha")
+    if system.phis is not None:
+        for j, phi in enumerate(system.phis):
+            z = phi(np.zeros(system.block_dim(j)))
+            if np.linalg.norm(z) > 1e-9:
+                raise DomainError(f"phi_{j}(0) != 0")
+    return True

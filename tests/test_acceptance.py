@@ -27,10 +27,10 @@ from flowlab.hyperbolic import (CocycleSpec, TangentSplitting,
                                 pragmatical_cocycle, step_flows,
                                 trivial_cocycle)
 from flowlab.poincare import linear_poincare, psi_ambient, sectional_poincare
-from flowlab.reparam import (drift_trials, lattice_bottleneck,
-                             orbit_time_control_trials)
+from flowlab.reparam import drift_trials, lattice_bottleneck
 from flowlab.util import mininorm
-from oracles import brute_force_bottleneck, evolve_direction
+from oracles import (brute_force_bottleneck, evolve_direction,
+                     orbit_time_control_trials)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 

@@ -16,7 +16,8 @@ from flowlab.fields import (Box, DenseOrbit, _augmented_rhs, _brentq,
                             estimate_lipschitz, evaluate, flow, flow_points,
                             flow_states_batch, ivp_options, make_field,
                             orbit_states, sample_orbit, solve_ivp)
-from oracles import estimate_lipschitz_loop, orbit_to_csv
+from oracles import (estimate_lipschitz_loop, orbit_to_csv,
+                     validate_orbit_segment)
 
 BUILTIN_KINDS = [
     ("linear", [-3.0, 0.5, 0.0, 0.2, -1.0, 0.0, 0.0, 0.7, 2.0]),
@@ -235,7 +236,7 @@ def test_orbit_segment_invariants(lorenz):
     times = np.linspace(0.0, 1.0, 6)
     x = np.array([1.0, 1.0, 1.0])
     seg = sample_orbit(lorenz, x, times, tol=1e-10)
-    assert seg.validate(lorenz)
+    assert validate_orbit_segment(seg, lorenz)
     assert seg.step() == pytest.approx(0.2, rel=1e-12)
     sub = seg.slice(1, 4)
     assert sub.base is seg.base and sub.n_nodes == 3
@@ -244,7 +245,7 @@ def test_orbit_segment_invariants(lorenz):
     off = seg.speeds.copy()
     off[2] *= 1.0 + 1e-8
     with pytest.raises(DomainError):
-        replace(seg, speeds=off).validate(lorenz)
+        validate_orbit_segment(replace(seg, speeds=off), lorenz)
     with pytest.raises(DomainError):
         sample_orbit(lorenz, x, times[::-1])
 

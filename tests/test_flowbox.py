@@ -6,8 +6,8 @@ from flowlab.errors import (BoxBoundsError, EscapeError, NotInBoxError,
                             SingularityError)
 from flowlab.fields import speed
 from flowlab.flowbox import (_ball_grid, chart_radius, flowbox_invert,
-                             flowbox_map, make_chart, verify_box_bounds)
-from oracles import verify_box_bounds_loop
+                             make_chart, verify_box_bounds)
+from oracles import flowbox_map, verify_box_bounds_loop
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,8 @@ from flowlab.hyperbolic import (CocycleSpec, NormalSplitting, TangentSplitting,
                                 step_flows, trivial_cocycle)
 from flowlab.poincare import psi_ambient
 from flowlab.util import mininorm
-from oracles import domination_entries_loop, evolve_direction
+from oracles import (domination_entries_loop, evolve_direction,
+                     validate_normal_splitting)
 
 #: Isolating boxes of acceptance check C5, around the origin and around C+.
 C5_BOXES = (Box([-6, -6, -2], [6, 6, 12]), Box([4, 4, 20], [13, 13, 34]))
@@ -49,7 +50,7 @@ def test_splitting_recovers_eigenbasis(diag_mixed):
     ang_u = np.sqrt(1 - min(1, abs(float(sp.unstable[7][:, 0] @ [0, 1, 0]))) ** 2)
     assert ang_s <= 1e-6
     assert ang_u <= 1e-6
-    sp.validate(diag_mixed)
+    validate_normal_splitting(sp, diag_mixed)
 
 
 def test_splitting_psi_invariance(diag_mixed):
@@ -373,7 +374,7 @@ def test_product_requires_disjoint_boxes(lorenz):
     a = pragmatical_cocycle(Box([-1, -1, -1], [1, 1, 1]))
     b = pragmatical_cocycle(Box([0, 0, 0], [2, 2, 2]))
     with pytest.raises(DomainError):
-        CocycleSpec(kind="product", factors=(a, b)).validate()
+        CocycleSpec(kind="product", factors=(a, b)).validate(lorenz)
 
 
 def test_pragmatical_box_must_isolate_one_singularity(lorenz):

@@ -3,10 +3,10 @@ import pytest
 
 from flowlab.errors import RadiusError, SingularityError
 from flowlab.fields import estimate_lipschitz, make_field, speed, Box
-from flowlab.poincare import (extended_linear_poincare, frame_at,
-                              linear_poincare, section_radius,
+from flowlab.poincare import (frame_at, linear_poincare, section_radius,
                               sectional_poincare, sectional_value,
                               target_chart)
+from oracles import extended_linear_poincare
 
 
 def test_linear_poincare_saddle_norm(saddle2d):

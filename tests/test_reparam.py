@@ -12,9 +12,8 @@ from flowlab.reparam import (Reparametrization, admissible_delta,
                              crossing_sequence, drift_bounds_check,
                              drift_trials, estimate_speed_ratio_constant,
                              fit_reparametrization, lattice_bottleneck,
-                             measure_shadowing, orbit_time_control_trials,
                              rescaled_sup_distance)
-from oracles import brute_force_bottleneck
+from oracles import brute_force_bottleneck, orbit_time_control_trials
 
 
 # --------------------------------------------------------------------- theta
@@ -80,14 +79,6 @@ def test_sup_singular_base_reports_time(saddle2d):
     with pytest.raises(SingularityError):
         rescaled_sup_distance(saddle2d, [0, 0], [0.1, 0],
                               Reparametrization.identity(), (0, 1), 8)
-
-
-def test_measure_shadowing_instance(rotation):
-    inst = measure_shadowing(rotation, np.array([1.0, 0.0]),
-                             np.array([1.05, 0.0]),
-                             Reparametrization.identity(), (0, 3.0), 20)
-    assert inst.delta == pytest.approx(0.05, abs=1e-6)
-    assert inst.grid.size == 20
 
 
 # ------------------------------------------------------------- lattice fits

@@ -79,6 +79,8 @@ def test_unknown_field_kind_exits_2(tmp_path, capsys):
     box = "  sample-box 0.5 1.5 -0.5 0.5\n"
     cases = [
         ("field warpdrive\n\ncommand flowbox\n  bases 1\n", "registry"),
+        ("field rotation\n  dimension 2\n\ncommand flowbox\n  bases 1\n",
+         "unknown field key 'dimension'"),
         ("field rotation\n\ncommand expansive\n  points 1 0\n"
          "  horizon -3\n", "horizon needs 2 numbers"),
         ("field rotation\n\ncommand expansive\n  points 1 0\n"

@@ -22,22 +22,18 @@ ROOT = Path(__file__).resolve().parents[1]
 #:   message alone);
 #: - two scenario handlers that share the `(sc, field, out)` signature of
 #:   the handler table without using all of it.
-#: Not listed, and kept too: `NormalMap.compose`, which ROADMAP item 7
-#: needs, and every signature that `perfbench/` calls (such as
-#: `assemble_block_system(enforce_radius, lip_samples, seed)`,
+#: Not listed, and kept too: every signature that `perfbench/` calls (such
+#: as `assemble_block_system(enforce_radius, lip_samples, seed)`,
 #: `psi_ambient`, `sample_orbit(tol)` and `flow_states_batch(t_eval)`).
 #: The public definitions that only tests call are kept because:
-#: - `custom_field` and `evaluate` are public API;
-#: - `apply_hyperbolic_operator` is the test oracle of the block solver (the
-#:   row map that `solve_hyperbolic_operator` inverts), `flowbox_map` that
-#:   of `flowbox_invert`, and `extended_linear_poincare` that of
-#:   `linear_poincare` along the flow direction;
-#: - `measure_shadowing` is the only maker of the exported
-#:   `ShadowingInstance` record, and `orbit_time_control_trials` runs
-#:   acceptance criterion C2;
+#: - `custom_field` and `evaluate` are public API (ROADMAP item 9);
 #: - the tangent-splitting path (`estimate_tangent_splitting`,
 #:   `induce_from_tangent_splitting`) waits for ROADMAP item 4, the Lorenz
-#:   singularity, and `crossing_sequence` for item 12.
+#:   singularity;
+#: - `crossing_sequence` waits for items 12 and 16;
+#: - `NormalMap.compose` waits for item 7.
+#: The test oracles and record checks that only tests ran live in
+#: `tests/oracles.py`.
 ALLOWED = """\
 idle default: 5
   cli.main(argv=None)
@@ -55,16 +51,12 @@ idle scenario key: 0
 unread parameter: 2
   cli._run_fixedpoint(field)
   cli._run_constants(out)
-test-only definition: 10
-  blockseq.apply_hyperbolic_operator
+test-only definition: 6
   fields.custom_field
   fields.evaluate
-  flowbox.flowbox_map
   hyperbolic.estimate_tangent_splitting
   hyperbolic.induce_from_tangent_splitting
-  poincare.extended_linear_poincare
-  reparam.measure_shadowing
-  reparam.orbit_time_control_trials
+  poincare.NormalMap.compose
   reparam.crossing_sequence
 """
 
@@ -126,22 +118,31 @@ def test_idle_options_counts_only_program_calls(tmp_path):
 
 
 def test_idle_options_finds_a_test_only_definition(tmp_path):
-    # a public definition that a script calls is not listed, nor is a
-    # private one; the one that only tests call is
+    # a public function or method that a script calls is not listed, nor
+    # is a private one or a property; the ones that only tests call are,
+    # a method as Class.method
     pkg = tmp_path / "src" / "flowlab"
     pkg.mkdir(parents=True)
     (pkg / "m.py").write_text("def used():\n    pass\n\n\n"
                               "def oracle():\n    pass\n\n\n"
-                              "class _Private:\n    pass\n")
+                              "class _Private:\n    pass\n\n\n"
+                              "class C:\n"
+                              "    def run(self):\n        pass\n\n"
+                              "    def check(self):\n        pass\n\n"
+                              "    def _helper(self):\n        pass\n\n"
+                              "    @property\n"
+                              "    def size(self):\n        return 0\n")
     (pkg / "__init__.py").write_text("from .m import oracle, used\n")
     for d in ("tests", "scripts", "perfbench"):
         (tmp_path / d).mkdir()
     (tmp_path / "tests" / "t.py").write_text(
-        "from flowlab.m import _Private, oracle, used\n"
-        "oracle()\nused()\n_Private()\n")
+        "from flowlab.m import _Private, C, oracle, used\n"
+        "oracle()\nused()\n_Private()\n"
+        "c = C()\nc.run()\nc.check()\nc._helper()\nc.size()\n")
     (tmp_path / "scripts" / "s.py").write_text("import flowlab\n"
-                                               "flowlab.used()\n")
-    assert _idle_options().test_only(tmp_path) == ["m.oracle"]
+                                               "flowlab.used()\n"
+                                               "flowlab.m.C().run()\n")
+    assert _idle_options().test_only(tmp_path) == ["m.oracle", "m.C.check"]
 
 
 def test_flowlab_imports_no_scipy():
