@@ -33,44 +33,15 @@ from .hyperbolic import (check_domination, estimate_normal_splitting,
 from .poincare import linear_poincare, section_radius, sectional_poincare
 from .reparam import (admissible_delta, drift_trials,
                       estimate_speed_ratio_constant, trials_to_csv)
-from .scenario import Scenario, load_scenario
+from .scenario import load_scenario
 from .util import write_csv, write_json
 
 
-_COUNT_KEYS = ("bases", "pairs", "samples", "systems", "starts", "blocks",
-               "budget", "lattice")
-_LEAST = {"burn": 0, **dict.fromkeys(_COUNT_KEYS, 1)}
-
-
-def _numbers(sc, key, n=None, default=(), kind=float):
-    """The values of a scenario key as `kind`; a ScenarioError unless there
-    are n of them (any count if n is None), each finite and of that kind,
-    and none below the key's least value in `_LEAST`."""
-    vals = sc.options.get(key, list(default))
-    vals = vals if isinstance(vals, list) else [vals]
-    if n is not None and len(vals) != n:
-        raise ScenarioError(f"{key} needs {n} number{'s' * (n != 1)}, "
-                            f"got {len(vals)}")
-    for v in vals:
-        if not (isinstance(v, int)
-                or (isinstance(v, float) and np.isfinite(v))):
-            raise ScenarioError(f"{key} needs numbers, got {v!r}")
-        if kind is int and not float(v).is_integer():
-            raise ScenarioError(f"{key} needs integers, got {v!r}")
-        if v < _LEAST.get(key, -np.inf):
-            raise ScenarioError(f"{key} must be >= {_LEAST[key]}, got {v!r}")
-    return [kind(v) for v in vals]
-
-
-def _number(sc, key, default, kind=float):
-    return _numbers(sc, key, 1, (default,), kind)[0]
-
-
-def _sample_box(sc: Scenario, field):
+def _sample_box(sc, field):
     if "sample-box" not in sc.options:
         return field.domain
-    vals = _numbers(sc, "sample-box", 2 * field.dimension)
-    return Box(np.asarray(vals[0::2], float), np.asarray(vals[1::2], float))
+    vals = sc.numbers("sample-box", 2 * field.dimension)
+    return Box(vals[0::2], vals[1::2])
 
 
 def _print(line):
@@ -83,8 +54,8 @@ def _print(line):
 
 def _run_flowbox(sc, field, out):
     box = _sample_box(sc, field)
-    n_bases = _number(sc, "bases", 10, int)
-    grid = _number(sc, "grid", 5, int)
+    n_bases = sc.number("bases", 10, int)
+    grid = sc.number("grid", 5, int)
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, tol=sc.tol)
     findings = 0
@@ -124,8 +95,8 @@ def _run_flowbox(sc, field, out):
 
 def _run_poincare(sc, field, out):
     box = _sample_box(sc, field)
-    n_bases = _number(sc, "bases", 5, int)
-    T = _number(sc, "t", 0.5)
+    n_bases = sc.number("bases", 5, int)
+    T = sc.number("t", 0.5)
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, tol=sc.tol)
     findings = 0
@@ -153,11 +124,11 @@ def _run_poincare(sc, field, out):
 
 def _run_shadow(sc, field, out):
     box = _sample_box(sc, field)
-    pairs = _number(sc, "pairs", 20, int)
-    epsilon = _number(sc, "epsilon", 0.3)
+    pairs = sc.number("pairs", 20, int)
+    epsilon = sc.number("epsilon", 0.3)
+    t_factor = sc.number("t-factor", 1.0)
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
-    r0 = chart_radius(L)
-    T = _number(sc, "t-factor", 1.0) * r0
+    T = t_factor * chart_radius(L)
     trials = drift_trials(field, box, epsilon, T, pairs, seed=sc.seed,
                           tol=sc.tol, L=L)
     trials_to_csv(trials, out / "series-shadow.csv")
@@ -171,19 +142,16 @@ def _run_shadow(sc, field, out):
 
 def _split_window(sc, field, out):
     """(splitting, domination report) of a `split` or `pipeline` orbit."""
-    start = np.asarray(_numbers(sc, "start", field.dimension))
-    burn = _number(sc, "burn", 0.0)
-    t_block = _number(sc, "t-block", 0.5)
-    blocks = _number(sc, "blocks", 20, int)
-    dim_s = _number(sc, "dim-s", 1, int)
-    warmup = _number(sc, "warmup", 3, int)
-    C = _number(sc, "c", 1.05)
-    lam = _number(sc, "lambda", 0.1)
-    t_grid = _numbers(sc, "t-grid", default=(t_block,))
-    cocy = sc.options.get("cocycle-u", "flow-speed")
-    if cocy not in ("flow-speed", "trivial"):
-        raise ScenarioError(
-            f"cocycle-u must be flow-speed or trivial, got {cocy!r}")
+    start = np.asarray(sc.numbers("start", field.dimension))
+    burn = sc.number("burn", 0.0)
+    t_block = sc.number("t-block", 0.5)
+    blocks = sc.number("blocks", 20, int)
+    dim_s = sc.number("dim-s", 1, int)
+    warmup = sc.number("warmup", 3, int)
+    C = sc.number("c", 1.05)
+    lam = sc.number("lambda", 0.1)
+    t_grid = sc.numbers("t-grid", default=(t_block,))
+    cocy = sc.word("cocycle-u", ("flow-speed", "trivial"), "flow-speed")
     h_u = flow_speed_cocycle() if cocy == "flow-speed" else trivial_cocycle()
     x0 = start
     if burn > 0:
@@ -207,8 +175,9 @@ def _run_split(sc, field, out):
 
 
 def _run_pipeline(sc, field, out):
+    box = _sample_box(sc, field)
     splitting, dom = _split_window(sc, field, out)
-    L = estimate_lipschitz(field, _sample_box(sc, field), 256, seed=sc.seed)
+    L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     cert = certify_window(field, splitting, LIP_SAMPLES, sc.seed)
     res, fp = cert.assembly, cert.fixed_point
     ok = dom.all_ok and cert.certified
@@ -225,10 +194,10 @@ def _run_pipeline(sc, field, out):
 
 
 def _run_fixedpoint(sc, field, out):
-    n_sys = _number(sc, "systems", 20, int)
-    n_starts = _number(sc, "starts", 5, int)
-    blocks = _number(sc, "blocks", 10, int)
-    kappa_max = _number(sc, "kappa-max", 0.9)
+    n_sys = sc.number("systems", 20, int)
+    n_starts = sc.number("starts", 5, int)
+    blocks = sc.number("blocks", 10, int)
+    kappa_max = sc.number("kappa-max", 0.9)
     rng = np.random.default_rng(sc.seed)
     findings = 0
     rows = []
@@ -302,13 +271,20 @@ def _truncation_convergence(m, seed):
 
 
 def _scan_config(sc, field):
-    horizon = tuple(_numbers(sc, "horizon", 2, (-2.0, 2.0)))
-    lattice = tuple(_numbers(sc, "lattice", 2, (9, 17), int))
+    """The scan's configuration; every key is read before a point is drawn."""
+    keys = dict(
+        horizon=tuple(sc.numbers("horizon", 2, (-2.0, 2.0))),
+        epsilons=tuple(sc.numbers("epsilons", default=(0.01,))),
+        deltas=tuple(sc.numbers("deltas", default=(0.05,))),
+        lattice=tuple(sc.numbers("lattice", 2, (9, 17), int)),
+        budget=sc.number("budget", 200, int),
+        grid_n=sc.number("grid", 64, int),
+        lipschitz=sc.number("lipschitz", None))
     if "points" in sc.options:
         for key in ("samples", "sample-box", "burn"):  # they draw points
             if key in sc.options:
                 raise ScenarioError(f"{key} cannot be given with points")
-        vals = _numbers(sc, "points")
+        vals = sc.numbers("points")
         d = field.dimension
         if len(vals) % d:
             raise ScenarioError(
@@ -316,24 +292,16 @@ def _scan_config(sc, field):
         pts = [tuple(vals[i:i + d]) for i in range(0, len(vals), d)]
     else:
         box = _sample_box(sc, field)
-        burn = _number(sc, "burn", 0.0)
-        n = _number(sc, "samples", 12, int)
+        burn = sc.number("burn", 0.0)
+        n = sc.number("samples", 12, int)
         pts = [tuple(p) for p in sample_regular_points(
             field, box, n, seed=sc.seed, burn=burn, tol=sc.tol)]
-    return ScanConfig(
-        field=field, base_points=tuple(pts),
-        horizon=horizon,
-        epsilons=tuple(_numbers(sc, "epsilons", default=(0.01,))),
-        deltas=tuple(_numbers(sc, "deltas", default=(0.05,))),
-        lattice=lattice,
-        budget=_number(sc, "budget", 200, int), seed=sc.seed,
-        grid_n=_number(sc, "grid", 64, int), tol=sc.tol,
-        lipschitz=(_numbers(sc, "lipschitz", 1)[0]
-                   if "lipschitz" in sc.options else None))
+    return ScanConfig(field=field, base_points=tuple(pts), seed=sc.seed,
+                      tol=sc.tol, **keys)
 
 
 def _run_expansive(sc, field, out):
-    mode = str(sc.options.get("mode", "rescaled"))
+    mode = sc.word("mode", ("probe", *MODES), "rescaled")
     config = _scan_config(sc, field)
     if mode == "probe":
         probe = nonsingular_equivalence_probe(field, config)
@@ -348,8 +316,6 @@ def _run_expansive(sc, field, out):
                f"{'PASS' if ok else 'FAIL'}")
         return {"command": "expansive", "mode": "probe",
                 **probe.to_json_dict()}, 0 if ok else 1
-    if mode not in MODES:
-        raise ScenarioError(f"unknown scan mode {mode!r}")
     rep = expansiveness_scan(config, mode)
     for i, w in enumerate(rep.witnesses):
         save_witness(w, out / f"witness-{i:03d}.json")
@@ -361,9 +327,9 @@ def _run_expansive(sc, field, out):
 
 def _run_constants(sc, field, out):
     box = _sample_box(sc, field)
-    T = _number(sc, "t", 1.0)
-    samples = _number(sc, "samples", 256, int)
-    eps_list = _numbers(sc, "epsilons", default=(0.1,))
+    T = sc.number("t", 1.0)
+    samples = sc.number("samples", 256, int)
+    eps_list = sc.numbers("epsilons", default=(0.1,))
     L = estimate_lipschitz(field, box, samples, seed=sc.seed)
     c = estimate_speed_ratio_constant(field, box, seed=sc.seed)
     r0 = chart_radius(L)
@@ -394,12 +360,9 @@ def run_scenario(path, out=None, seed=None, tol=None) -> int:
     """Execute a scenario file; returns the process exit status."""
     try:
         sc = load_scenario(path)
-        if out is not None:
-            sc.out = out
-        if seed is not None:
-            sc.seed = seed
-        if tol is not None:
-            sc.tol = tol
+        for key, value in (("out", out), ("seed", seed), ("tol", tol)):
+            if value is not None:  # a flag's token, typed like the file's
+                sc.set_top(key, [str(value)])
         field = sc.build_field()
         out_dir = Path(sc.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -467,8 +430,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--tol", type=float, default=None)
+    p_run.add_argument("--seed", default=None)
+    p_run.add_argument("--tol", default=None)
     p_replay = sub.add_parser("replay", help="re-verify witness files")
     p_replay.add_argument("witness", nargs="+")
     sub.add_parser("list-fields", help="print the builtin field registry")

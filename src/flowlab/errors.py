@@ -93,6 +93,10 @@ class HorizonError(FlowLabError):
     """A time horizon violates the preconditions of an estimate."""
 
 
+class WitnessError(FlowLabError):
+    """A witness file is missing, unreadable or lacks a key of its type."""
+
+
 class ScenarioError(FlowLabError):
     """A scenario file failed to parse or validate."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, FlowLabError, HorizonError, NotInBoxError,
-                     SingularityError, StiffnessError)
+                     SingularityError, StiffnessError, WitnessError)
 from .fields import (DenseOrbit, estimate_lipschitz, field_from_json,
                      flow_points, orbit_states, speed)
 from .flowbox import chart_radius, flowbox_invert, make_chart
@@ -403,9 +403,25 @@ class ReplayResult:
     failing_times: list
 
 
+#: The keys of a witness that a replay reads, with their JSON types.
+_WITNESS_KEYS = {"mode": str, "epsilon": (int, float), "delta": (int, float),
+                 "x": list, "y": list, "theta_knots": list, "horizon": list,
+                 "grid_n": int, "arc_tol": (int, float),
+                 "lipschitz": (int, float), "tol": (int, float), "field": dict}
+
+
 def replay_witness(source) -> ReplayResult:
-    """Re-verify a stored violation from its serialized data alone."""
-    d = source if isinstance(source, dict) else read_json(source)
+    """Re-verify a stored violation from its serialized data alone; a
+    WitnessError if the data cannot be read or lacks a key of its type."""
+    try:
+        d = source if isinstance(source, dict) else read_json(source)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise WitnessError(f"cannot read the witness: {exc}") from exc
+    for key, kind in _WITNESS_KEYS.items():
+        if not isinstance(d, dict) or not isinstance(d.get(key), kind):
+            raise WitnessError(f"the witness has no {key!r} of its type")
+    if not isinstance(d["field"].get("kind"), str):
+        raise WitnessError("the witness's field has no 'kind'")
     field = field_from_json(d["field"])
     theta = Reparametrization(np.asarray(d["theta_knots"], dtype=float))
     x = np.asarray(d["x"], dtype=float)

@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CrossingDetectionError, DegenerateProjectionError,
-                     DomainError, FlowDirectionError, NoDominationError,
-                     RebalanceInfeasibleError)
-from .fields import (OrbitSegment, effective_lipschitz, flow,
+                     DomainError, EscapeError, FlowDirectionError,
+                     NoDominationError, RebalanceInfeasibleError)
+from .fields import (OrbitSegment, _domain_event, effective_lipschitz, flow,
                      ivp_options, solve_ivp, speed)
 from .poincare import linear_poincare_from_flow, psi_from_flow
 from .util import mininorm, opnorm, orthonormalize, unit, write_csv
@@ -238,11 +238,15 @@ def _pragmatical_value(field, box, sol, crossings, x, e, t, tol):
 def _pragmatical_product(field, boxes, x, e, t, tol):
     """Product of the pragmatical values of `boxes` at (x, e, t), all read
     from one dense state solve and one interpolant call on the crossing
-    grid."""
+    grid.  The solve stops where the orbit leaves the domain, so the
+    transports, which follow pieces of the same orbit, stay inside it."""
     opts = ivp_options(tol)
     res = solve_ivp(lambda s, y: np.asarray(field.func(y), dtype=float),
                     (0.0, t), x, rtol=opts["rtol"], atol=opts["atol"],
-                    dense_output=True)
+                    events=_domain_event(field), dense_output=True)
+    if res.status == 1:
+        raise EscapeError("orbit left the domain during a pragmatical "
+                          "cocycle", exit_time=float(res.t_events[0][0]))
     if res.status != 0:
         raise DomainError(f"orbit integration failed: {res.message}")
     sol = res.sol

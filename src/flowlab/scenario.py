@@ -3,17 +3,17 @@
 Grammar (see docs/scenario-format.md): top-level lines are `key value...`;
 the section headers `field <kind>` and `command <name>` open indented
 blocks of `key value...` lines (two-space indent).  `#` starts a comment.
-Numbers are plain floats/ints; lists are whitespace separated.
+Values are whitespace-separated tokens; they stay strings until `typed`
+checks them as the numbers their key needs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ScenarioError
-from .fields import FIELD_KINDS, Box, make_field
+from .fields import Box, make_field
 
 _COMMANDS = ("flowbox", "poincare", "shadow", "split", "pipeline",
              "fixedpoint", "expansive", "constants")
@@ -36,132 +36,143 @@ _COMMAND_KEYS["pipeline"] = _COMMAND_KEYS["split"] | {"sample-box"}
 
 _FIELD_KEYS = {"matrix", "params", "domain"}
 
+_COUNT_KEYS = ("bases", "pairs", "samples", "systems", "starts", "blocks",
+               "budget", "lattice")
+# the least value of a key; `tol` must exceed 0
+_LEAST = {"burn": 0, "seed": 0, "grid": 2, **dict.fromkeys(_COUNT_KEYS, 1)}
+
+
+def typed(key, tokens, n=None, kind=float):
+    """The tokens of a scenario key as numbers of `kind`; a ScenarioError
+    naming the key unless there are n of them (any count if n is None),
+    each finite and of that kind (an integral float such as 2.0 is an
+    integer), and none below the key's least value."""
+    if n is not None and len(tokens) != n:
+        raise ScenarioError(f"{key} needs {n} number{'s' * (n != 1)}, "
+                            f"got {len(tokens)}")
+    vals = []
+    for tok in tokens:
+        try:
+            v = float(tok)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise ScenarioError(f"{key} needs numbers, got {tok!r}")
+        if kind is int:
+            if not v.is_integer():
+                raise ScenarioError(f"{key} needs integers, got {tok!r}")
+            v = int(tok) if tok.isdigit() else int(v)  # digits stay exact
+        if v < _LEAST.get(key, -math.inf):
+            raise ScenarioError(f"{key} must be >= {_LEAST[key]}, got {tok!r}")
+        if key == "tol" and v <= 0:
+            raise ScenarioError(f"tol must be > 0, got {tok!r}")
+        vals.append(v)
+    return vals
+
 
 @dataclass
 class Scenario:
     field_kind: str
-    field_options: dict
+    field_options: dict             # key -> tokens
     command: str
-    options: dict
+    options: dict                   # key -> tokens
     out: str = "out"
     seed: int = 0
     tol: float = 1e-9
     source: str = "<memory>"
 
-    def build_field(self):
-        kind = self.field_kind
-        if kind not in FIELD_KINDS:
+    def numbers(self, key, n=None, default=(), kind=float):
+        """A command key's values through `typed`; `default` if unset,
+        unless it has not n values (a required key)."""
+        tokens = self.options.get(key)
+        if tokens is None and (n is None or len(default) == n):
+            return list(default)
+        return typed(key, tokens or [], n, kind)
+
+    def number(self, key, default, kind=float):
+        return self.numbers(key, 1, (default,), kind)[0]
+
+    def word(self, key, choices, default):
+        """A command key's one word, which must be one of `choices`."""
+        word = " ".join(self.options.get(key, [default]))
+        if word not in choices:
             raise ScenarioError(
-                f"unknown field kind {kind!r}; registry: {sorted(FIELD_KINDS)}")
+                f"{key} must be one of {', '.join(choices)}, got {word!r}")
+        return word
+
+    def set_top(self, key, tokens):
+        """Set the top-level `out` (one token), `seed` (an integer >= 0) or
+        `tol` (a number > 0) from its tokens."""
+        if key == "out":
+            if len(tokens) != 1:
+                raise ScenarioError("out takes one value")
+            self.out = tokens[0]
+        else:
+            kind = int if key == "seed" else float
+            setattr(self, key, typed(key, tokens, 1, kind)[0])
+
+    def build_field(self):
         opts = self.field_options
-        params = ()
-        if "matrix" in opts:
-            params = tuple(opts["matrix"])
-        elif "params" in opts:
-            params = tuple(opts["params"])
-        domain = None
-        if "domain" in opts:
-            vals = opts["domain"]
-            if len(vals) % 2 != 0:
-                raise ScenarioError("domain needs an even number of values")
-            lo = np.asarray(vals[0::2], dtype=float)
-            hi = np.asarray(vals[1::2], dtype=float)
-            domain = Box(lo, hi)
+        if "matrix" in opts and "params" in opts:
+            raise ScenarioError("matrix and params exclude each other")
+        params = [v for key in ("matrix", "params") if key in opts
+                  for v in typed(key, opts[key])]
+        vals = typed("domain", opts.get("domain", []))
+        if len(vals) % 2 != 0:
+            raise ScenarioError("domain needs an even number of values")
         try:
-            return make_field(kind, params, domain)
+            domain = Box(vals[0::2], vals[1::2]) if vals else None
+            return make_field(self.field_kind, params, domain)
         except DomainError as exc:
             raise ScenarioError(str(exc)) from exc
 
 
-def _tokenize(value_text):
-    toks = value_text.split()
-    out = []
-    for tk in toks:
-        try:
-            out.append(int(tk))
-            continue
-        except ValueError:
-            pass
-        try:
-            out.append(float(tk))
-            continue
-        except ValueError:
-            pass
-        out.append(tk)
-    return out
-
-
-def _simplify(tokens):
-    if len(tokens) == 1:
-        return tokens[0]
-    return tokens
-
-
 def parse_scenario(text, source="<memory>") -> Scenario:
-    field_kind = None
-    field_options = {}
-    command = None
-    options = {}
-    top = {}
-    section = None  # None | "field" | "command"
+    # section: None, "field" or the command's name
+    field_kind = command = section = None
+    field_options, options, top = {}, {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
-        indented = stripped.startswith((" ", "\t"))
-        parts = stripped.split(None, 1)
-        key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if not indented:
+        key, *tokens = stripped.split()
+        rest = " ".join(tokens)
+        if not stripped.startswith((" ", "\t")):
             if key == "field":
                 if not rest:
                     raise ScenarioError("field needs a kind", line=lineno)
-                field_kind = rest.strip()
-                section = "field"
+                field_kind, section = rest, "field"
             elif key == "command":
-                if rest.strip() not in _COMMANDS:
+                if rest not in _COMMANDS:
                     raise ScenarioError(
-                        f"unknown command {rest.strip()!r}; choose from {_COMMANDS}",
+                        f"unknown command {rest!r}; choose from {_COMMANDS}",
                         line=lineno)
-                command = rest.strip()
-                section = "command"
+                command = section = rest
             elif key in ("out", "seed", "tol"):
-                toks = _tokenize(rest)
-                if len(toks) != 1:
-                    raise ScenarioError(f"{key} takes one value", line=lineno)
-                top[key] = toks[0]
-                section = None
+                top[key], section = tokens, None
             else:
                 raise ScenarioError(f"unknown top-level key {key!r}",
                                     line=lineno, column=1)
-        else:
-            if section == "field":
-                if key not in _FIELD_KEYS:
-                    raise ScenarioError(f"unknown field key {key!r}",
-                                        line=lineno, column=3)
-                field_options[key] = _tokenize(rest)
-            elif section == "command":
-                allowed = _COMMAND_KEYS[command]
-                if key not in allowed:
-                    raise ScenarioError(
-                        f"unknown {command} key {key!r}; allowed: {sorted(allowed)}",
-                        line=lineno, column=3)
-                options[key] = _simplify(_tokenize(rest))
-            else:
-                raise ScenarioError("indented line outside a section",
-                                    line=lineno, column=1)
+            continue
+        if section is None:
+            raise ScenarioError("indented line outside a section",
+                                line=lineno, column=1)
+        allowed = _FIELD_KEYS if section == "field" else _COMMAND_KEYS[section]
+        if key not in allowed:
+            raise ScenarioError(
+                f"unknown {section} key {key!r}; allowed: {sorted(allowed)}",
+                line=lineno, column=3)
+        if not tokens:
+            raise ScenarioError(f"{key} needs a value", line=lineno, column=3)
+        (field_options if section == "field" else options)[key] = tokens
     if field_kind is None:
         raise ScenarioError("scenario declares no field", line=1)
     if command is None:
         raise ScenarioError("scenario declares no command", line=1)
     sc = Scenario(field_kind=field_kind, field_options=field_options,
                   command=command, options=options, source=source)
-    if "out" in top:
-        sc.out = str(top["out"])
-    if "seed" in top:
-        sc.seed = int(top["seed"])
-    if "tol" in top:
-        sc.tol = float(top["tol"])
+    for key, tokens in top.items():
+        sc.set_top(key, tokens)
     return sc
 
 

@@ -6,8 +6,8 @@ from scipy.integrate import solve_ivp
 
 from flowlab import fields, hyperbolic
 from flowlab.errors import (CrossingDetectionError, DomainError,
-                            FlowDirectionError, NoDominationError,
-                            RebalanceInfeasibleError)
+                            EscapeError, FlowDirectionError,
+                            NoDominationError, RebalanceInfeasibleError)
 from flowlab.fields import Box, flow_points, ivp_options, make_field, \
     sample_orbit
 from flowlab.hyperbolic import (CocycleSpec, NormalSplitting, TangentSplitting,
@@ -335,6 +335,23 @@ def test_pragmatical_saddle_passage(diag3):
     assert v_inside == pytest.approx(np.exp(2 * (1.5 - t_in)), rel=1e-6)
     v_through = evaluate_cocycle(diag3, spec, x, [0, 0, 1], 3.5, tol=1e-11)
     assert v_through == pytest.approx(np.exp(2 * (t_out - t_in)), rel=1e-6)
+
+
+def test_pragmatical_orbit_that_leaves_the_domain_escapes():
+    # the orbit of x leaves [-10, 10]^3 along the first axis at t = ln(20)/2
+    # forward (and along the other two at t = -ln(20) backward): the
+    # cocycle raises EscapeError at flow's exit time, not a value
+    field = make_field("linear", [2, 0, 0, 0, -1, 0, 0, 0, -1],
+                       domain=Box(np.full(3, -10.0), np.full(3, 10.0)))
+    spec = pragmatical_cocycle(Box([-1, -1, -1], [1, 1, 1]))
+    x = np.array([0.5, 0.5, 0.5])
+    for t, exit_time in ((3.0, np.log(20) / 2), (-3.0, -np.log(20))):
+        with pytest.raises(EscapeError) as flowed:
+            fields.flow(field, x, t)
+        with pytest.raises(EscapeError) as exc:
+            evaluate_cocycle(field, spec, x, [1, 0, 0], t)
+        assert exc.value.exit_time == pytest.approx(exit_time, rel=1e-6)
+        assert flowed.value.exit_time == pytest.approx(exit_time, rel=1e-6)
 
 
 def test_cocycle_identity_with_crossings(diag3):

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from flowlab.cli import main, run_scenario
+from flowlab import fields
+from flowlab.cli import _HANDLERS, main, run_scenario
 from flowlab.errors import ScenarioError
-from flowlab.scenario import parse_scenario
+from flowlab.scenario import load_scenario, parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
 SADDLE_FLOWBOX = """
 # flowbox verification on the planar saddle
@@ -42,7 +46,8 @@ def test_parse_basic():
     assert sc.command == "flowbox"
     assert sc.seed == 7
     assert sc.tol == 1e-10
-    assert sc.options["bases"] == 3
+    assert sc.options["bases"] == ["3"]  # tokens, typed when read
+    assert sc.number("bases", 10, int) == 3
 
 
 def test_parse_reports_line_numbers():
@@ -73,10 +78,16 @@ def test_parse_requires_field():
         parse_scenario("command flowbox\n")
 
 
-def test_unknown_field_kind_exits_2(tmp_path, capsys):
-    # and the other malformed values that once crashed or passed silently
+def test_unknown_field_kind_exits_2(tmp_path, capsys, monkeypatch):
+    # and the other malformed values that once crashed or passed silently,
+    # each found before the first solve, with no output file written
+    monkeypatch.setattr(fields, "solve_ivp", _no_solve)
     lorenz = "field lorenz\n  params 10 28 2.6666666666666665\n\n"
     box = "  sample-box 0.5 1.5 -0.5 0.5\n"
+    saddle = ("field linear\n  matrix 1 0 0 -1\n\ncommand constants\n"
+              "  sample-box 0.4 2.0 -1.5 1.5\n")
+    late = lorenz + ("command expansive\n  samples 2\n  burn 1\n"
+                     "  sample-box -15 15 -20 20 10 40\n")
     cases = [
         ("field warpdrive\n\ncommand flowbox\n  bases 1\n", "registry"),
         ("field rotation\n  dimension 2\n\ncommand flowbox\n  bases 1\n",
@@ -127,12 +138,61 @@ def test_unknown_field_kind_exits_2(tmp_path, capsys):
          "samples cannot be given with points"),
         ("field rotation\n\ncommand expansive\n  points 1 0\n" + box,
          "sample-box cannot be given with points"),
+        # a top-level or field value is typed like a command key's
+        (saddle + "seed abc\n", "seed needs numbers, got 'abc'"),
+        (saddle + "tol abc\n", "tol needs numbers, got 'abc'"),
+        (saddle.replace("1 0 0 -1", "a b c d"), "matrix needs numbers"),
+        (saddle.replace("\n\n", "\n  domain -1 1 x 1\n\n", 1),
+         "domain needs numbers, got 'x'"),
+        (saddle + "seed -3\n", "seed must be >= 0"),
+        (lorenz.replace("2.6666666666666665", "nan") + "command constants\n",
+         "params needs numbers, got 'nan'"),
+        (saddle + "seed 1.5\n", "seed needs integers"),
+        (saddle + "tol 0\n", "tol must be > 0"),
+        (saddle + "tol -1\n", "tol must be > 0"),
+        (saddle.replace("\n\n", "\n  domain -1 1 -1 inf\n\n", 1),
+         "domain needs numbers, got 'inf'"),
+        (saddle.replace("\n\n", "\n  params 1 1 1\n\n", 1),
+         "matrix and params exclude each other"),
+        # the keys a solve would follow are read before the first solve
+        (lorenz + "command pipeline\n  start 1 1 1\n  burn 1\n"
+         "  sample-box -20 20 -25 25 5\n", "sample-box needs 6 numbers"),
+        (late + "  mode fast\n", "mode must be one of probe, rescaled"),
+        (late + "  epsilons x\n", "epsilons needs numbers"),
+        (late + "  deltas x\n", "deltas needs numbers"),
+        (late + "  budget 0\n", "budget must be >= 1"),
+        (late + "  grid 1\n", "grid must be >= 2"),
+        (late + "  lipschitz x\n", "lipschitz needs numbers"),
     ]
     p = tmp_path / "bad.scn"
     for text, message in cases:
         p.write_text(text)
         assert run_scenario(str(p), out=str(tmp_path / "out")) == 2, text
         assert message in capsys.readouterr().err
+        assert not [f for f in (tmp_path / "out").rglob("*")], text
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran before every scenario key was read")
+
+
+def test_run_flags_are_typed_like_scenario_values(tmp_path, capsys):
+    p = tmp_path / "s.scn"
+    p.write_text(SADDLE_FLOWBOX)
+    out = str(tmp_path / "out")
+    for flag, value, message in [("--seed", "-3", "seed must be >= 0"),
+                                 ("--seed", "1.5", "seed needs integers"),
+                                 ("--seed", "abc", "seed needs numbers"),
+                                 ("--tol", "0", "tol must be > 0"),
+                                 ("--tol", "nan", "tol needs numbers")]:
+        assert main(["run", str(p), "--out", out, flag, value]) == 2, value
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_command_has_a_shipped_scenario():
+    shipped = {load_scenario(p).command for p in SCENARIOS.glob("*.scn")}
+    assert shipped == set(_HANDLERS)
 
 
 def test_flowbox_scenario_passes(tmp_path):
@@ -200,6 +260,24 @@ def test_replay_subcommand(tmp_path):
     run_scenario(str(p), out=str(tmp_path / "out"))
     w = sorted((tmp_path / "out").glob("witness-*.json"))[0]
     assert main(["replay", str(w)]) == 0
+
+
+def test_replay_of_broken_input_exits_2(tmp_path, capsys):
+    # a missing file, a file that is not JSON, and a witness without a key
+    p = tmp_path / "s.scn"
+    p.write_text(ROTATION_EXPANSIVE)
+    run_scenario(str(p), out=str(tmp_path / "out"))
+    w = sorted((tmp_path / "out").glob("witness-*.json"))[0]
+    witness = json.loads(w.read_text())
+    del witness["field"]
+    (tmp_path / "partial.json").write_text(json.dumps(witness))
+    (tmp_path / "text.json").write_text("not json\n")
+    for name, message in [("missing.json", "cannot read"),
+                          ("text.json", "cannot read"),
+                          ("partial.json", "no 'field'")]:
+        assert main(["replay", str(tmp_path / name)]) == 2, name
+        err = capsys.readouterr().err
+        assert "replay error" in err and message in err, err
 
 
 def test_reports_byte_identical(tmp_path):
