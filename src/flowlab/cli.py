@@ -13,6 +13,7 @@ import argparse
 import datetime
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .blockseq import (LIP_SAMPLES, BlockSequenceSystem, certify_window,
 from .errors import DomainError, EscapeError, FlowLabError, ScenarioError
 from .expansive import (MODES, ScanConfig, epsilon0_estimate,
                         expansiveness_scan, nonsingular_equivalence_probe,
-                        save_witness, replay_witness)
+                        replay_witness)
 from .fields import (Box, estimate_lipschitz, flow_points, sample_orbit,
                      sample_regular_points, FIELD_KINDS)
 from .flowbox import chart_radius, make_chart, verify_box_bounds
@@ -271,8 +272,10 @@ def _truncation_convergence(m, seed):
 
 
 def _scan_config(sc, field):
-    """The scan's configuration; every key is read before a point is drawn."""
-    keys = dict(
+    """The scan's configuration; every key is read, and the configuration
+    validated, before a point is drawn."""
+    config = ScanConfig(
+        field=field, base_points=(), seed=sc.seed, tol=sc.tol,
         horizon=tuple(sc.numbers("horizon", 2, (-2.0, 2.0))),
         epsilons=tuple(sc.numbers("epsilons", default=(0.01,))),
         deltas=tuple(sc.numbers("deltas", default=(0.05,))),
@@ -280,6 +283,7 @@ def _scan_config(sc, field):
         budget=sc.number("budget", 200, int),
         grid_n=sc.number("grid", 64, int),
         lipschitz=sc.number("lipschitz", None))
+    L = config.validate()
     if "points" in sc.options:
         for key in ("samples", "sample-box", "burn"):  # they draw points
             if key in sc.options:
@@ -296,20 +300,19 @@ def _scan_config(sc, field):
         n = sc.number("samples", 12, int)
         pts = [tuple(p) for p in sample_regular_points(
             field, box, n, seed=sc.seed, burn=burn, tol=sc.tol)]
-    return ScanConfig(field=field, base_points=tuple(pts), seed=sc.seed,
-                      tol=sc.tol, **keys)
+    return replace(config, base_points=tuple(pts), lipschitz=L)
 
 
 def _run_expansive(sc, field, out):
     mode = sc.word("mode", ("probe", *MODES), "rescaled")
     config = _scan_config(sc, field)
     if mode == "probe":
-        probe = nonsingular_equivalence_probe(field, config)
+        probe = nonsingular_equivalence_probe(config)
         write_json(probe.to_json_dict(), out / "probe.json")
         n_viol = sum(len(r.witnesses) for r in probe.reports.values())
         for m, r in probe.reports.items():
             for i, w in enumerate(r.witnesses):
-                save_witness(w, out / f"witness-{m}-{i:03d}.json")
+                write_json(w, out / f"witness-{m}-{i:03d}.json")
         ok = probe.consistent
         _print(f"expansive probe speed_ratio={probe.speed_ratio:.3f} "
                f"consistent={probe.consistent} witnesses={n_viol} "
@@ -318,7 +321,7 @@ def _run_expansive(sc, field, out):
                 **probe.to_json_dict()}, 0 if ok else 1
     rep = expansiveness_scan(config, mode)
     for i, w in enumerate(rep.witnesses):
-        save_witness(w, out / f"witness-{i:03d}.json")
+        write_json(w, out / f"witness-{i:03d}.json")
     n_viol = sum(1 for v in rep.verdicts.values() if v == "violation")
     _print(f"expansive mode={mode} pairs={rep.n_pairs} "
            f"violations={n_viol} witnesses={len(rep.witnesses)}")

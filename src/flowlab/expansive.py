@@ -14,6 +14,7 @@ at time 0), 'komuro' (plain distance, conclusion at some grid time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .flowbox import chart_radius, flowbox_invert, make_chart
 from .poincare import section_radius
 from .reparam import (Reparametrization, admissible_delta,
                       fit_reparametrization)
-from .util import random_normal, read_json, write_json
+from .util import random_normal, read_json
 
 MODES = ("rescaled", "komuro", "bowen_walters")
 ARC_TOL = 1e-6  # on an orbit arc: normal offset <= ARC_TOL * |X|
@@ -46,6 +47,9 @@ class ScanConfig:
     lipschitz: float = None
 
     def validate(self):
+        """The chart Lipschitz constant: `lipschitz`, or else an estimate over
+        the domain; a DomainError unless the grids, the budget and the
+        horizon are usable and the epsilon grid fits in the chart radius."""
         if not self.epsilons or not self.deltas:
             raise DomainError("epsilon and delta grids must be nonempty")
         if self.budget <= 0:
@@ -54,44 +58,22 @@ class ScanConfig:
             raise DomainError("horizon must be a nonempty interval")
         if self.grid_n < 2:
             raise DomainError("the conclusion grid needs at least 2 times")
-        return True
-
-
-@dataclass
-class Witness:
-    """A replayable violation record."""
-
-    mode: str
-    epsilon: float
-    delta: float
-    x: list
-    y: list
-    theta_knots: list
-    horizon: tuple
-    grid_n: int
-    arc_tol: float
-    lipschitz: float
-    tol: float
-    measured_sup: float
-    failing_times: list
-    field_spec: dict
-
-    def to_json_dict(self):
-        return {
-            "mode": self.mode, "epsilon": self.epsilon, "delta": self.delta,
-            "x": self.x, "y": self.y, "theta_knots": self.theta_knots,
-            "horizon": list(self.horizon), "grid_n": self.grid_n,
-            "arc_tol": self.arc_tol, "lipschitz": self.lipschitz,
-            "tol": self.tol, "measured_sup": self.measured_sup,
-            "failing_times": self.failing_times, "field": self.field_spec,
-        }
+        L = self.lipschitz
+        if L is None:
+            L = estimate_lipschitz(self.field, self.field.domain, 512,
+                                   seed=self.seed)
+        r0 = chart_radius(L)
+        if max(self.epsilons) > r0:
+            raise DomainError(
+                f"epsilon grid must stay within the chart radius r0={r0:.3e}")
+        return L
 
 
 @dataclass
 class ScanReport:
     mode: str
     verdicts: dict                  # (eps, delta) -> "no-violation-found" | "violation"
-    witnesses: list
+    witnesses: list                 # JSON records, keys as in _WITNESS_KEYS
     budget: int
     budget_used: int
     horizon: tuple
@@ -105,7 +87,7 @@ class ScanReport:
             "mode": self.mode,
             "verdicts": [{"epsilon": k[0], "delta": k[1], "verdict": v}
                          for k, v in sorted(self.verdicts.items())],
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
+            "witnesses": self.witnesses,
             "budget": self.budget, "budget_used": self.budget_used,
             "horizon": list(self.horizon), "n_pairs": self.n_pairs,
         }
@@ -113,56 +95,61 @@ class ScanReport:
 
 class _BaseOrbit:
     """A base point's orbit at the fit nodes, the conclusion grid and the
-    recurrence times, with the flow-box charts along the grid.
+    recurrence times, with the speeds and the flow-box charts along the grid.
 
     One forward solve over (0, max(hi, hi - lo)] serves all three and is
     made when the orbit is built; the backward half over [lo, 0) is solved
-    on first use.  An exit breaks the orbit only within [lo, hi], and the
-    recurrence pair only within (0, hi - lo].  A state differs from the
-    one of a solve over the horizon alone only in that solve's last step.
+    on first use of `base`, so a base that no pair within the budget reads
+    costs no backward solve.  An exit breaks the orbit only within [lo, hi],
+    and the recurrence pair only within (0, hi - lo].  A state differs from
+    the one of a solve over the horizon alone only in that solve's last step.
     """
 
     def __init__(self, config, x, L):
         lo, hi = config.horizon
         self.config, self.x, self.L = config, x, L
-        self.t_nodes = np.linspace(lo, hi, max(2, int(config.lattice[0])))
-        self.grid = np.linspace(lo, hi, config.grid_n)
+        self._t_nodes = np.linspace(lo, hi, max(2, int(config.lattice[0])))
+        self._grid = np.linspace(lo, hi, config.grid_n)
         t_rec = np.linspace(max(1.0, 0.05 * (hi - lo)), hi - lo, 48)
-        self._times = np.concatenate([self.t_nodes, self.grid])
-        self._states = np.full((self._times.size, config.field.dimension),
-                               np.nan)
-        self._states[self._times == 0] = x
+        self._times = np.concatenate([self._t_nodes, self._grid])
+        states = np.full((self._times.size, config.field.dimension), np.nan)
+        states[self._times == 0] = x
         fwd = self._times > 0
-        states, exit_time = _orbit_states(
+        fwd_states, exit_time = _orbit_states(
             config, x, np.concatenate([self._times[fwd], t_rec]))
         n_fwd = int(fwd.sum())
-        self._states[fwd] = states[:n_fwd]
-        self._broken = exit_time is not None and exit_time <= hi
+        states[fwd] = fwd_states[:n_fwd]
         #: states at the recurrence times, None if they leave the domain
-        self.recurrence = (states[n_fwd:] if exit_time is None
+        self.recurrence = (fwd_states[n_fwd:] if exit_time is None
                            or exit_time > hi - lo else None)
-        self._backward_done = not np.any(self._times < 0)
-        self._charts = None
+        # None once the orbit leaves the domain within [0, hi]
+        self._states = (None if exit_time is not None and exit_time <= hi
+                        else states)
 
-    def states(self):
-        """(t_nodes, states at t_nodes, grid, states at grid), or None when
+    @cached_property
+    def base(self):
+        """(t_nodes, states at t_nodes, grid, states at grid), None when
         the orbit leaves the domain within the horizon."""
-        if not self._backward_done and not self._broken:
-            back = self._times < 0
-            self._states[back], exit_time = _orbit_states(
-                self.config, self.x, self._times[back])
-            self._broken = exit_time is not None
-            self._backward_done = True
-        if self._broken:
+        states, back = self._states, self._times < 0
+        if states is None:
             return None
-        n = self.t_nodes.size
-        return self.t_nodes, self._states[:n], self.grid, self._states[n:]
+        if np.any(back):
+            states[back], exit_time = _orbit_states(self.config, self.x,
+                                                    self._times[back])
+            if exit_time is not None:
+                return None
+        n = self._t_nodes.size
+        return self._t_nodes, states[:n], self._grid, states[n:]
 
+    @cached_property
+    def speeds(self):
+        """|X| at the grid states."""
+        return np.array([speed(self.config.field, s) for s in self.base[3]])
+
+    @cached_property
     def charts(self):
-        """`_charts` of the grid states, built on first use."""
-        if self._charts is None:
-            self._charts = _charts(self.config.field, self.states()[3], self.L)
-        return self._charts
+        """`_charts` of the grid states."""
+        return _charts(self.config.field, self.base[3], self.L)
 
 
 def _orbit_states(config, x, times):
@@ -209,52 +196,53 @@ def _conclusion_failures(grid, arc_times, eps):
             if not abs(s) <= eps * (1.0 + 1e-9)]
 
 
-def _evaluate_pair(field, x, y, config, mode, base):
-    """(theta, sup, ys) per time change of y that stays in the domain over
-    the grid, best first; `base` is the `_BaseOrbit.states` of x.
+def _evaluate_pair(field, x, y, config, orbit, metrics):
+    """{rescale: [(theta, sup, ys), ...]} for each rescale flag in
+    `metrics`: the time changes of y that stay in the domain over the grid,
+    best first in that metric; `orbit` is the `_BaseOrbit` of x.
 
-    The candidates are the theta fitted on the sheared lattice around the
-    identity, and the identity.  y gets one dense solve per time sign over
-    the lattice span, which serves the lattice, the identity and the fitted
-    theta; when y starts outside the domain or leaves it before the
-    horizon start, no forward solve is made and no candidate is left.
+    The candidates of a metric are the theta fitted in it on the sheared
+    lattice around the identity, and the identity.  y gets one dense solve
+    per time sign over the lattice span, which serves the lattice, the
+    identity and every fitted theta; when y starts outside the domain or
+    leaves it before the horizon start, no forward solve is made and no
+    candidate is left.
     """
-    t_nodes, x_nodes, grid, xs = base
-    rescale = mode == "rescaled"
-    speeds = np.array([speed(field, s) for s in xs])
-    if np.any(speeds <= field.singular_speed()):
-        if rescale:
-            raise SingularityError("base orbit hits a singular sample")
-        speeds = np.maximum(speeds, field.singular_speed())
+    t_nodes, x_nodes, grid, xs = orbit.base
+    if True in metrics and np.any(orbit.speeds <= field.singular_speed()):
+        raise SingularityError("base orbit hits a singular sample")
     width = max(config.deltas) * 3.0 + 1e-12
     offsets = np.linspace(-width, width, max(3, int(config.lattice[1])))
     theta_nodes = t_nodes[:, None] + offsets[None, :]
+    out = {rescale: [] for rescale in metrics}
     if not field.domain.contains(y, slack=1e-12):
-        return []
-    orbit = DenseOrbit(field, y, (theta_nodes.min(), theta_nodes.max()),
+        return out
+    dense = DenseOrbit(field, y, (theta_nodes.min(), theta_nodes.max()),
                        config.tol)
     try:
-        if not orbit.reaches(grid[[0, -1]]):
-            return []
-        thetas = [Reparametrization.identity()]
-        if orbit.reaches(theta_nodes):
-            try:
-                fitted, _ = fit_reparametrization(
-                    field, x, y, t_nodes=t_nodes,
-                    theta_nodes=theta_nodes, rescale=rescale, tol=config.tol,
-                    x_states=x_nodes, y_states=orbit(theta_nodes.ravel()))
-                thetas.insert(0, fitted)
-            except FlowLabError:
-                pass
-        out = []
-        for theta in thetas:
-            times = theta(grid)
-            if orbit.reaches(times):
-                ys = orbit(times)
-                out.append((theta, _sup(xs, ys, speeds, rescale), ys))
+        if not dense.reaches(grid[[0, -1]]):
+            return out
+        fit_nodes = dense.reaches(theta_nodes)
+        for rescale, cands in out.items():
+            thetas = [Reparametrization.identity()]
+            if fit_nodes:
+                try:
+                    fitted, _ = fit_reparametrization(
+                        field, x, y, t_nodes=t_nodes, theta_nodes=theta_nodes,
+                        rescale=rescale, tol=config.tol, x_states=x_nodes,
+                        y_states=dense(theta_nodes.ravel()))
+                    thetas.insert(0, fitted)
+                except FlowLabError:
+                    pass
+            for theta in thetas:
+                times = theta(grid)
+                if dense.reaches(times):
+                    ys = dense(times)
+                    cands.append((theta, _sup(xs, ys, orbit.speeds, rescale),
+                                  ys))
+            cands.sort(key=lambda p: p[1])
     except StiffnessError:
-        return []
-    out.sort(key=lambda p: p[1])
+        return {rescale: [] for rescale in out}
     return out
 
 
@@ -310,15 +298,7 @@ def _candidate_pairs(config, orbits):
 def _scan_inputs(config):
     """(L, candidate pairs, base orbits by point): the part of a scan that
     no mode changes."""
-    config.validate()
-    L = config.lipschitz
-    if L is None:
-        L = estimate_lipschitz(config.field, config.field.domain, 512,
-                               seed=config.seed)
-    r0 = chart_radius(L)
-    if max(config.epsilons) > r0:
-        raise DomainError(
-            f"epsilon grid must stay within the chart radius r0={r0:.3e}")
+    L = config.validate()
     orbits = {}
     for p in config.base_points:
         x = np.asarray(p, dtype=float)
@@ -327,73 +307,68 @@ def _scan_inputs(config):
     return L, _candidate_pairs(config, orbits), orbits
 
 
-def _scan(config, mode, L, pairs, orbits):
-    """The scan body of one mode over the candidate pairs.
+def _scan(config, modes):
+    """One `ScanReport` per mode of `modes`, from one pass over the
+    candidate pairs.
 
-    `orbits` are the `_scan_inputs` base orbits; scans of several modes may
-    share them.  A candidate's arc test runs once and serves every
-    (epsilon, delta) cell.
+    A pair's y is solved once, its theta is fitted once per metric (komuro
+    and bowen_walters share the plain one), and the arc test of a theta
+    runs once and serves every mode and (epsilon, delta) cell.
     """
     field = config.field
-    verdicts = {(float(e), float(d)): "no-violation-found"
-                for e in config.epsilons for d in config.deltas}
-    witnesses = []
-    used = 0
-    for x, y in pairs:
-        if used >= config.budget:
-            break
-        used += 1
+    L, pairs, orbits = _scan_inputs(config)
+    horizon = (float(config.horizon[0]), float(config.horizon[1]))
+    cells = [(float(e), float(d)) for e in config.epsilons
+             for d in config.deltas]
+    verdicts = {m: dict.fromkeys(cells, "no-violation-found") for m in modes}
+    witnesses = {m: [] for m in modes}
+    used = min(config.budget, len(pairs))
+    for x, y in pairs[:used]:
         orbit = orbits[tuple(x)]
-        base = orbit.states()
-        if base is None:
+        if orbit.base is None:
             continue
-        grid = base[2]
-        candidates = _evaluate_pair(field, x, y, config, mode, base)
-        arcs = {}
-        for eps in config.epsilons:
-            for delta in config.deltas:
-                key = (float(eps), float(delta))
-                if verdicts[key] == "violation":
+        grid = orbit.base[2]
+        candidates = _evaluate_pair(field, x, y, config, orbit,
+                                    {m == "rescaled" for m in modes})
+        arcs = {}  # theta knots -> arc times
+        for mode in modes:
+            for eps, delta in verdicts[mode]:
+                if verdicts[mode][(eps, delta)] == "violation":
                     continue
-                for i, (theta, sup, ys) in enumerate(candidates):
+                for theta, sup, ys in candidates[mode == "rescaled"]:
                     if sup > delta:
                         break  # candidates are sorted; none shadows
-                    if i not in arcs:
-                        arcs[i] = _arc_times(orbit.charts(), ys, ARC_TOL)
-                    fails = _conclusion_failures(grid, arcs[i], eps)
+                    key = theta.knots.tobytes()
+                    if key not in arcs:
+                        arcs[key] = _arc_times(orbit.charts, ys, ARC_TOL)
+                    fails = _conclusion_failures(grid, arcs[key], eps)
                     if _violated(mode, grid, fails):
-                        verdicts[key] = "violation"
-                        witnesses.append(Witness(
-                            mode=mode, epsilon=float(eps), delta=float(delta),
-                            x=np.asarray(x).tolist(), y=np.asarray(y).tolist(),
-                            theta_knots=theta.knots.tolist(),
-                            horizon=(float(config.horizon[0]),
-                                     float(config.horizon[1])),
-                            grid_n=config.grid_n, arc_tol=ARC_TOL,
-                            lipschitz=float(L), tol=config.tol,
-                            measured_sup=float(sup),
-                            failing_times=fails,
-                            field_spec=field.to_json_dict()))
+                        verdicts[mode][(eps, delta)] = "violation"
+                        witnesses[mode].append({
+                            "mode": mode, "epsilon": eps, "delta": delta,
+                            "x": np.asarray(x).tolist(),
+                            "y": np.asarray(y).tolist(),
+                            "theta_knots": theta.knots.tolist(),
+                            "horizon": list(horizon), "grid_n": config.grid_n,
+                            "arc_tol": ARC_TOL, "lipschitz": float(L),
+                            "tol": config.tol, "measured_sup": float(sup),
+                            "failing_times": fails,
+                            "field": field.to_json_dict()})
                         break
-    return ScanReport(mode=mode, verdicts=verdicts, witnesses=witnesses,
-                      budget=config.budget, budget_used=used,
-                      horizon=(float(config.horizon[0]), float(config.horizon[1])),
-                      n_pairs=len(pairs))
+    return [ScanReport(mode=m, verdicts=verdicts[m], witnesses=witnesses[m],
+                       budget=config.budget, budget_used=used,
+                       horizon=horizon, n_pairs=len(pairs)) for m in modes]
 
 
 def expansiveness_scan(config: ScanConfig, mode: str) -> ScanReport:
     """Budgeted search for shadowing pairs breaking the mode's conclusion."""
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; choose from {MODES}")
-    return _scan(config, mode, *_scan_inputs(config))
+    return _scan(config, (mode,))[0]
 
 
 # ---------------------------------------------------------------------------
-# witness persistence and replay
-
-
-def save_witness(witness: Witness, path):
-    write_json(witness.to_json_dict(), path)
+# witness replay
 
 
 @dataclass
@@ -403,7 +378,8 @@ class ReplayResult:
     failing_times: list
 
 
-#: The keys of a witness that a replay reads, with their JSON types.
+#: The keys of a witness record that a replay reads, with their JSON types;
+#: a scan's witness also records "measured_sup" and "failing_times".
 _WITNESS_KEYS = {"mode": str, "epsilon": (int, float), "delta": (int, float),
                  "x": list, "y": list, "theta_knots": list, "horizon": list,
                  "grid_n": int, "arc_tol": (int, float),
@@ -483,23 +459,22 @@ class ProbeReport:
         }
 
 
-def nonsingular_equivalence_probe(field, config: ScanConfig) -> ProbeReport:
+def nonsingular_equivalence_probe(config: ScanConfig) -> ProbeReport:
     """Run all three scan modes on the same samples and compare thresholds.
 
-    The modes share the candidate pairs and the base orbits, each computed
-    once.
+    The modes share one pass over the candidate pairs (see `_scan`).
 
     For each epsilon the largest grid delta with no violation is reported
     per mode; consistency means each pair of thresholds differs by at most
     the speed-ratio factor of the scanned region (with one-grid-step slack).
     Requires a singularity-free sample region.
     """
+    field = config.field
     speeds = [speed(field, p) for p in config.base_points]
     if min(speeds) <= 1e3 * field.singular_speed():
         raise DomainError("scan region contains (near-)singular samples")
     ratio = max(speeds) / min(speeds)
-    inputs = _scan_inputs(config)
-    reports = {m: _scan(config, m, *inputs) for m in MODES}
+    reports = dict(zip(MODES, _scan(config, MODES)))
     deltas = sorted(float(d) for d in config.deltas)
     grid_slack = max((deltas[i + 1] / deltas[i]
                       for i in range(len(deltas) - 1)), default=1.0)

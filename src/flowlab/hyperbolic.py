@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (CrossingDetectionError, DegenerateProjectionError,
                      DomainError, EscapeError, FlowDirectionError,
                      NoDominationError, RebalanceInfeasibleError)
-from .fields import (OrbitSegment, _domain_event, effective_lipschitz, flow,
-                     ivp_options, solve_ivp, speed)
+from .fields import (OrbitSegment, _check_start, _domain_event,
+                     effective_lipschitz, flow, ivp_options, solve_ivp, speed)
 from .poincare import linear_poincare_from_flow, psi_from_flow
 from .util import mininorm, opnorm, orthonormalize, unit, write_csv
 
@@ -239,7 +239,9 @@ def _pragmatical_product(field, boxes, x, e, t, tol):
     """Product of the pragmatical values of `boxes` at (x, e, t), all read
     from one dense state solve and one interpolant call on the crossing
     grid.  The solve stops where the orbit leaves the domain, so the
-    transports, which follow pieces of the same orbit, stay inside it."""
+    transports, which follow pieces of the same orbit, stay inside it.  A
+    start outside the domain raises DomainError, as in `flow`."""
+    _check_start(field, x)
     opts = ivp_options(tol)
     res = solve_ivp(lambda s, y: np.asarray(field.func(y), dtype=float),
                     (0.0, t), x, rtol=opts["rtol"], atol=opts["atol"],

@@ -38,15 +38,18 @@ _FIELD_KEYS = {"matrix", "params", "domain"}
 
 _COUNT_KEYS = ("bases", "pairs", "samples", "systems", "starts", "blocks",
                "budget", "lattice")
-# the least value of a key; `tol` must exceed 0
+# the least value of a key, and the keys whose values must exceed 0
 _LEAST = {"burn": 0, "seed": 0, "grid": 2, **dict.fromkeys(_COUNT_KEYS, 1)}
+_POSITIVE = {"t", "t-block", "t-factor", "epsilon", "epsilons", "deltas",
+             "lipschitz", "kappa-max", "c", "lambda", "tol"}
 
 
 def typed(key, tokens, n=None, kind=float):
     """The tokens of a scenario key as numbers of `kind`; a ScenarioError
     naming the key unless there are n of them (any count if n is None),
     each finite and of that kind (an integral float such as 2.0 is an
-    integer), and none below the key's least value."""
+    integer), none below the key's least value, and each > 0 for a key
+    of `_POSITIVE`."""
     if n is not None and len(tokens) != n:
         raise ScenarioError(f"{key} needs {n} number{'s' * (n != 1)}, "
                             f"got {len(tokens)}")
@@ -64,8 +67,8 @@ def typed(key, tokens, n=None, kind=float):
             v = int(tok) if tok.isdigit() else int(v)  # digits stay exact
         if v < _LEAST.get(key, -math.inf):
             raise ScenarioError(f"{key} must be >= {_LEAST[key]}, got {tok!r}")
-        if key == "tol" and v <= 0:
-            raise ScenarioError(f"tol must be > 0, got {tok!r}")
+        if key in _POSITIVE and v <= 0:
+            raise ScenarioError(f"{key} must be > 0, got {tok!r}")
         vals.append(v)
     return vals
 

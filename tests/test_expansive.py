@@ -4,10 +4,10 @@ import pytest
 from flowlab.errors import DomainError, HorizonError
 from flowlab.expansive import (ScanConfig, epsilon0_estimate,
                                expansiveness_scan,
-                               nonsingular_equivalence_probe, replay_witness,
-                               save_witness)
+                               nonsingular_equivalence_probe, replay_witness)
 from flowlab.fields import Box, sample_regular_points
 from flowlab.flowbox import chart_radius
+from flowlab.util import write_json
 
 
 def _rotation_config(rotation, **kw):
@@ -37,18 +37,17 @@ def test_witness_replay_round_trip(tmp_path, rotation):
     rep = expansiveness_scan(_rotation_config(rotation), "rescaled")
     w = rep.witnesses[0]
     path = tmp_path / "w.json"
-    save_witness(w, path)
+    write_json(w, path)
     res = replay_witness(path)
     assert res.reproduced
-    assert res.measured_sup <= w.delta * (1 + 1e-9)
+    assert res.measured_sup <= w["delta"] * (1 + 1e-9)
 
 
 def test_komuro_violation_implies_bowen_walters(rotation):
     cfg = _rotation_config(rotation)
     rep_k = expansiveness_scan(cfg, "komuro")
     for w in rep_k.witnesses:
-        d = w.to_json_dict()
-        d["mode"] = "bowen_walters"
+        d = dict(w, mode="bowen_walters")
         assert replay_witness(d).reproduced
 
 
@@ -68,15 +67,15 @@ def test_shift_pairs_never_violate(rotation):
         from flowlab.fields import flow_points
         y = flow_points(rotation, x, [s], 1e-10)[0]
         orbit = E._BaseOrbit(cfg, x, 1.05)
-        base = orbit.states()
-        grid = base[2]
+        grid = orbit.base[2]
         for mode in ("rescaled", "komuro", "bowen_walters"):
-            for theta, sup, ys in E._evaluate_pair(rotation, x, y, cfg, mode,
-                                                   base):
+            rescale = mode == "rescaled"
+            for theta, sup, ys in E._evaluate_pair(rotation, x, y, cfg, orbit,
+                                                   (rescale,))[rescale]:
                 if sup > 0.1:
                     continue
                 fails = E._conclusion_failures(
-                    grid, E._arc_times(orbit.charts(), ys, E.ARC_TOL), eps)
+                    grid, E._arc_times(orbit.charts, ys, E.ARC_TOL), eps)
                 if mode == "komuro":
                     assert len(fails) < grid.size
                 elif mode == "bowen_walters":
@@ -107,7 +106,7 @@ def _record_solves(monkeypatch):
     return calls
 
 
-def _assert_one_solve_per_sign(calls, bases, horizon, modes=1):
+def _assert_one_solve_per_sign(calls, bases, horizon):
     # per base point one forward integration over (0, max(hi, hi - lo)]
     # serves the fit nodes, the grid and the recurrence times; the
     # backward one over [lo, 0) is made at most once
@@ -118,12 +117,12 @@ def _assert_one_solve_per_sign(calls, bases, horizon, modes=1):
         assert ends.count(max(hi, hi - lo)) == 1, bp
         assert ends.count(lo) <= 1, bp
         assert len(ends) == ends.count(max(hi, hi - lo)) + ends.count(lo)
-    # and every y at most one dense solve per time sign and scan mode
+    # and every y at most one dense solve per time sign, for all modes
     for y in {x for x, _, _ in calls} - {tuple(map(float, b))
                                          for b in bases}:
         ends = [end for x, end, _ in calls if x == y]
-        assert sum(e < 0 for e in ends) <= modes
-        assert sum(e > 0 for e in ends) <= modes
+        assert sum(e < 0 for e in ends) <= 1
+        assert sum(e > 0 for e in ends) <= 1
 
 
 def test_one_base_orbit_solve_per_point(rotation, monkeypatch):
@@ -153,7 +152,7 @@ def test_shared_solves_match_separate_solves(rotation):
     _, _, orbits = E._scan_inputs(cfg)
     for bp in cfg.base_points:
         orbit = orbits[tuple(map(float, bp))]
-        t_nodes, x_nodes, grid, xs = orbit.states()
+        t_nodes, x_nodes, grid, xs = orbit.base
         times = np.concatenate([t_nodes, grid])
         got = np.concatenate([x_nodes, xs])
         want = flow_points(rotation, bp, times, cfg.tol)
@@ -185,7 +184,7 @@ def test_base_orbit_kept_when_only_recurrence_exits():
     orbit = orbits[x]
     assert orbit.recurrence is None
     assert len(pairs) == 2  # the two perturbation pairs only
-    t_nodes, x_nodes, grid, xs = orbit.states()
+    t_nodes, x_nodes, grid, xs = orbit.base
     assert np.allclose(xs[-1], [x[0] * np.exp(2.0), x[1] * np.exp(-2.0)])
     # the separate solves break exactly the same way
     flow_points(saddle, x, grid, cfg.tol)
@@ -208,11 +207,12 @@ def test_y_exit_before_horizon_keeps_identity(monkeypatch):
     cfg = ScanConfig(field=saddle, base_points=(x,), horizon=(-1.0, 1.0),
                      epsilons=(0.01,), deltas=(0.2,), seed=0, lipschitz=1.05)
     _, _, orbits = E._scan_inputs(cfg)
-    base = orbits[x].states()
-    t_nodes, _, grid, xs = base
+    orbit = orbits[x]
+    t_nodes, _, grid, xs = orbit.base
     with pytest.raises(EscapeError):
         flow_points(saddle, y, t_nodes - 0.6, cfg.tol)
-    cands = E._evaluate_pair(saddle, np.array(x), y, cfg, "rescaled", base)
+    cands = E._evaluate_pair(saddle, np.array(x), y, cfg, orbit,
+                             (True,))[True]
     assert [c[0].knots.tolist() for c in cands] == \
         [Reparametrization.identity().knots.tolist()]
     ys = flow_points(saddle, y, grid, cfg.tol)
@@ -223,13 +223,13 @@ def test_y_exit_before_horizon_keeps_identity(monkeypatch):
     # after one backward solve and no forward one
     y_out = np.array([0.5, 5.0])
     calls = _record_solves(monkeypatch)
-    assert E._evaluate_pair(saddle, np.array(x), y_out, cfg, "rescaled",
-                            base) == []
+    assert E._evaluate_pair(saddle, np.array(x), y_out, cfg, orbit,
+                            (True,)) == {True: []}
     assert [end for _, end, _ in calls] == [pytest.approx(-1.6)]
     # a y that starts outside the domain leaves no candidate, and no solve
     calls.clear()
     assert E._evaluate_pair(saddle, np.array(x), np.array([0.5, 10.5]), cfg,
-                            "rescaled", base) == []
+                            orbit, (True,)) == {True: []}
     assert calls == []
 
 
@@ -296,7 +296,7 @@ def test_probe_rejects_singular_region(rotation):
                      horizon=(-1, 1), epsilons=(0.01,), deltas=(0.05,),
                      budget=5, seed=0, lipschitz=1.05)
     with pytest.raises(DomainError):
-        nonsingular_equivalence_probe(rotation, cfg)
+        nonsingular_equivalence_probe(cfg)
 
 
 def test_probe_saddle_suspension(saddle_susp):
@@ -306,7 +306,7 @@ def test_probe_saddle_suspension(saddle_susp):
     cfg = ScanConfig(field=saddle_susp, base_points=tuple(map(tuple, pts)),
                      horizon=(-3.0, 3.0), epsilons=(0.02,), deltas=deltas,
                      budget=80, seed=3, lipschitz=1.05, lattice=(9, 9))
-    probe = nonsingular_equivalence_probe(saddle_susp, cfg)
+    probe = nonsingular_equivalence_probe(cfg)
     assert probe.consistent
     assert probe.speed_ratio >= 1.0
 
@@ -319,14 +319,15 @@ def test_probe_unit_speed_region_coincides(rotation):
     cfg = ScanConfig(field=rotation, base_points=pts, horizon=(-3.0, 3.0),
                      epsilons=(0.02,), deltas=deltas, budget=60, seed=4,
                      lipschitz=1.05)
-    probe = nonsingular_equivalence_probe(rotation, cfg)
+    probe = nonsingular_equivalence_probe(cfg)
     # base speeds are exactly 1: rescaled and komuro thresholds coincide
     assert probe.thresholds["rescaled"] == probe.thresholds["komuro"]
 
 
 def test_probe_shares_pairs_and_base_orbits(rotation, monkeypatch):
-    # the base orbits (with their recurrence times) do not depend on the
-    # mode: the probe solves each once, and its reports are the three scans'
+    # the base orbits (with their recurrence times) and the y orbits do not
+    # depend on the mode: the probe solves each once, and its reports are
+    # the three scans'
     import flowlab.expansive as E
     pts = ((1.0, 0.0), (0.0, 1.3), (-0.8, 0.3), (0.6, -0.9))
     cfg = ScanConfig(field=rotation, base_points=pts, horizon=(-2.0, 2.0),
@@ -334,9 +335,9 @@ def test_probe_shares_pairs_and_base_orbits(rotation, monkeypatch):
                      lipschitz=1.05)
     want = {m: expansiveness_scan(cfg, m).to_json_dict() for m in E.MODES}
     calls = _record_solves(monkeypatch)
-    probe = nonsingular_equivalence_probe(rotation, cfg)
+    probe = nonsingular_equivalence_probe(cfg)
     assert {m: r.to_json_dict() for m, r in probe.reports.items()} == want
-    _assert_one_solve_per_sign(calls, pts, cfg.horizon, modes=len(E.MODES))
+    _assert_one_solve_per_sign(calls, pts, cfg.horizon)
     # the 16 pairs used start at all four bases
     for bp in pts:
         assert (tuple(map(float, bp)), -2.0, False) in calls

@@ -354,6 +354,20 @@ def test_pragmatical_orbit_that_leaves_the_domain_escapes():
         assert flowed.value.exit_time == pytest.approx(exit_time, rel=1e-6)
 
 
+def test_pragmatical_from_outside_the_domain_raises():
+    # a start outside [-10, 10]^3 is refused as in flow, for a pragmatical
+    # cocycle and a product alike, instead of flowing to a value
+    field = make_field("linear", [2, 0, 0, 0, -1, 0, 0, 0, -1],
+                       domain=Box(np.full(3, -10.0), np.full(3, 10.0)))
+    spec = pragmatical_cocycle(Box([-1, -1, -1], [1, 1, 1]))
+    x = np.array([20.0, 0.5, 0.5])
+    with pytest.raises(DomainError):
+        fields.flow(field, x, 0.5)
+    for cocycle in (spec, CocycleSpec(kind="product", factors=(spec,))):
+        with pytest.raises(DomainError):
+            evaluate_cocycle(field, cocycle, x, [1, 0, 0], 0.5)
+
+
 def test_cocycle_identity_with_crossings(diag3):
     box = Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])
     spec = pragmatical_cocycle(box)

@@ -163,6 +163,28 @@ def test_unknown_field_kind_exits_2(tmp_path, capsys, monkeypatch):
         (late + "  budget 0\n", "budget must be >= 1"),
         (late + "  grid 1\n", "grid must be >= 2"),
         (late + "  lipschitz x\n", "lipschitz needs numbers"),
+        # and the scan's checks that need no solve run before the burn-in
+        (late + "  horizon 3 -3\n", "horizon must be a nonempty interval"),
+        (late + "  epsilons 0.5\n  lipschitz 2.0\n",
+         "epsilon grid must stay within the chart radius"),
+        # times, scales and grids of epsilon and delta must be positive
+        ("field rotation\n\ncommand constants\n  t 0\n", "t must be > 0"),
+        ("field rotation\n\ncommand poincare\n  t -1\n" + box,
+         "t must be > 0"),
+        (lorenz + "command split\n  start 1 1 1\n  t-block -0.5\n",
+         "t-block must be > 0"),
+        (lorenz + "command split\n  start 1 1 1\n  c 0\n", "c must be > 0"),
+        (lorenz + "command split\n  start 1 1 1\n  lambda -0.1\n",
+         "lambda must be > 0"),
+        ("field rotation\n\ncommand shadow\n  t-factor 0\n" + box,
+         "t-factor must be > 0"),
+        ("field rotation\n\ncommand shadow\n  epsilon -0.3\n" + box,
+         "epsilon must be > 0"),
+        (late + "  epsilons 0.01 0\n", "epsilons must be > 0"),
+        (late + "  deltas -0.1\n", "deltas must be > 0"),
+        (late + "  lipschitz 0\n", "lipschitz must be > 0"),
+        ("field rotation\n\ncommand fixedpoint\n  kappa-max 0\n",
+         "kappa-max must be > 0"),
     ]
     p = tmp_path / "bad.scn"
     for text, message in cases:
