@@ -8,7 +8,11 @@ five timed batches on one thread.  A second table times one flow layer:
 one state-only and one variational solve over SPAN with the domain event,
 through flowlab's DOP853 kernel (`fields.solve_ivp`) and through scipy's
 `solve_ivp(method="DOP853")`, as microseconds per right-hand-side
-evaluation (best of five solves; both make the same evaluations).  Run
+evaluation (best of five solves; both make the same evaluations).  A
+third table times one state-only stacked solve of the planar saddle over
+a chart time, for 36, 432 and 1,800 points, against the same points solved
+one chart (36 points) at a time: microseconds per member-RHS evaluation,
+that is per right-hand-side evaluation and member (best of five).  Run
 from the repository root:
 
     python3 scripts/bench_field_kernels.py
@@ -30,8 +34,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from scipy.integrate import solve_ivp as scipy_solve_ivp  # noqa: E402
 
-from flowlab.fields import (_augmented_rhs, _domain_event,  # noqa: E402
-                            ivp_options, make_field, solve_ivp)
+from flowlab.fields import (  # noqa: E402
+    _augmented_rhs, _batch_domain_event, _domain_event, ivp_options,
+    make_field, solve_ivp)
 
 FIELDS = (
     ("linear", [-3.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 2.0], [0.3, -0.2, 0.5]),
@@ -43,6 +48,11 @@ CALLS = 20000
 REPEATS = 5
 SPAN = 2.0
 TOL = 1e-9
+#: The stacked table: points per chart, stack sizes, and the solve span,
+#: the chart radius 1/(10 L) of the saddle at L = 1.05.
+CHART_POINTS = 36
+STACKS = (36, 432, 1800)
+CHART_SPAN = 1.0 / 10.5
 
 
 def per_call_us(fn, *args):
@@ -64,6 +74,27 @@ def per_eval_us(solver, rhs, y0, event):
                       events=event).nfev
         best = min(best, time.perf_counter() - start)
     return nfev, 1e6 * best / nfev
+
+
+def stack_nfev(field, points):
+    """The RHS evaluations of one stacked state-only solve of the points
+    (k, d) over CHART_SPAN, each point a member of the solve."""
+    d = field.dimension
+    return solve_ivp(lambda t, y: field.func(y.reshape(-1, d)).ravel(),
+                     (0.0, CHART_SPAN), points, **ivp_options(TOL),
+                     events=_batch_domain_event(field)).nfev
+
+
+def per_member_eval_us(field, stacks):
+    """(total nfev, best microseconds per member-RHS evaluation) of one
+    solve per stack of points."""
+    best, evals = float("inf"), 0
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        nfevs = [stack_nfev(field, points) for points in stacks]
+        best = min(best, time.perf_counter() - start)
+        evals = sum(n * len(points) for n, points in zip(nfevs, stacks))
+    return sum(nfevs), 1e6 * best / evals
 
 
 def main():
@@ -92,6 +123,19 @@ def main():
                    for solver in (solve_ivp, scipy_dop853)]
             (nfev, mine), (_, ref) = row
             print(f"{kind:<18} {name:<12} {nfev:>6} {mine:8.2f} {ref:8.2f}")
+    print()
+    print(f"{'points':>6} {'nfev':>6} {'stacked':>8} {'nfev':>6} "
+          f"{'charts':>8}  (us/member-RHS evaluation, saddle)")
+    field = make_field("linear", (1.0, 0.0, 0.0, -1.0))
+    rng = np.random.default_rng(0)
+    for k in STACKS:
+        points = rng.uniform([0.4, -1.5], [2.0, 1.5], size=(k, 2))
+        charts = [points[i:i + CHART_POINTS]
+                  for i in range(0, k, CHART_POINTS)]
+        n_stack, stacked = per_member_eval_us(field, [points])
+        n_charts, alone = per_member_eval_us(field, charts)
+        print(f"{k:>6} {n_stack:>6} {stacked:8.3f} {n_charts:>6} "
+              f"{alone:8.3f}")
 
 
 if __name__ == "__main__":

@@ -53,20 +53,34 @@ def _print(line):
 # command handlers: each returns (report dict, findings count)
 
 
+def _verified_charts(charts, grid, tol):
+    """{index: report} of the charts whose grids stay in the domain: one
+    stacked `verify_box_bounds`, run again without each chart that left."""
+    live = list(range(len(charts)))
+    while live:
+        try:
+            return dict(zip(live, verify_box_bounds(
+                [charts[i] for i in live], grid, tol=tol)))
+        except EscapeError as exc:
+            del live[exc.row]
+    return {}
+
+
 def _run_flowbox(sc, field, out):
     box = _sample_box(sc, field)
     n_bases = sc.number("bases", 10, int)
     grid = sc.number("grid", 5, int)
     L = estimate_lipschitz(field, box, 256, seed=sc.seed)
     pts = sample_regular_points(field, box, n_bases, seed=sc.seed, tol=sc.tol)
+    verified = _verified_charts([make_chart(field, p, L) for p in pts], grid,
+                                sc.tol)
     findings = 0
     skipped = 0
     per_base = []
     rows = []
-    for p in pts:
-        try:
-            rep = verify_box_bounds(make_chart(field, p, L), grid, tol=sc.tol)
-        except EscapeError:
+    for i, p in enumerate(pts):
+        rep = verified.get(i)
+        if rep is None:
             skipped += 1
             _print(f"flowbox base={np.round(p, 4).tolist()} SKIP "
                    f"(the chart grid leaves the domain)")

@@ -10,11 +10,13 @@ class DomainError(FlowLabError):
 
 
 class EscapeError(FlowLabError):
-    """An orbit left the field domain during integration."""
+    """An orbit left the field domain during integration; in a stacked
+    solve, `row` names the member that left."""
 
-    def __init__(self, message, exit_time=None):
+    def __init__(self, message, exit_time=None, row=None):
         super().__init__(message)
         self.exit_time = exit_time
+        self.row = row
 
 
 class StiffnessError(FlowLabError):

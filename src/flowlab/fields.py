@@ -11,12 +11,16 @@ wrappers.  It needs numpy alone: the tableau is `_dop853`, scipy's
 coefficients written out bit for bit, and the terminal event's root comes
 from `_brentq`, a line-for-line port of scipy's Brent root finder.  Its
 dense output (`DenseSolution`) also evaluates a single time on Python
-floats, with the same bits.  In this module every solve goes through
-`_solve` (at `ivp_options(tol)`, with a terminal domain event), and every
-state solve at signed times through `orbit_states` on top of it, or
-through `DenseOrbit` where the times are not known before the solve.  Both
-hand back what an orbit reached before it left the domain, with the exit
-time.
+floats, with the same bits.  A start of shape (k, d) is a stack of k
+members solved as one (`flow_states_batch`): a step is accepted on the
+largest of the members' own error norms (Hairer, Norsett & Wanner,
+Solving ODEs I, II.4), so every member meets the tolerance as if solved
+alone, and a stack of one is bitwise the lone solve.  In this module
+every solve goes through `_solve` (at `ivp_options(tol)`, with a terminal
+domain event), and every state solve at signed times through
+`orbit_states` on top of it, or through `DenseOrbit` where the times are
+not known before the solve.  Both hand back what an orbit reached before
+it left the domain, with the exit time.
 `hyperbolic` calls the kernel directly for the pragmatical cocycles: one
 dense state solve per evaluation (`_pragmatical_product`, shared by every
 box of a product) and one direction transport per segment between box
@@ -373,6 +377,14 @@ def _batch_domain_event(field):
     return event
 
 
+def _batch_margins(field, Y):
+    """The least margin of each stacked state (..., d) to the domain padded
+    by `_BATCH_SLACK`: negative, or NaN, outside it."""
+    pad = _BATCH_SLACK * field.domain.diameter
+    lo, hi = field.domain.lo - pad, field.domain.hi + pad
+    return np.minimum(Y - lo, hi - Y).min(axis=-1)
+
+
 def _augmented_rhs(field):
     """The right-hand side of the state with its variational matrix, y =
     (x, Phi row by row): (X(x), DX(x) Phi), written into one new buffer."""
@@ -408,31 +420,56 @@ _MESSAGES = {0: "The solver successfully reached the end of the "
 @dataclass(frozen=True)
 class IvpResult:
     """What `solve_ivp` returns: output times and states (n, m), the dense
-    solution (or None), the terminal event's root list (or None), status
-    0 (end reached), 1 (event) or -1 (step underflow), and the number of
-    right-hand-side evaluations."""
+    solution (or None), the terminal event's root list and the states
+    there (or None), status 0 (end reached), 1 (event) or -1 (step
+    underflow), and the number of right-hand-side evaluations."""
 
     t: np.ndarray
     y: np.ndarray
     sol: Optional["DenseSolution"]
     t_events: Optional[list]
+    y_events: Optional[list]
     status: int
     message: str
     nfev: int
 
 
-def _rms(x):
+def _rms(x, m):
+    """The RMS norm of x per member of m entries: the largest member's
+    (NaN ranks highest), computed as for a lone member."""
+    if m < x.size:
+        X = x.reshape(-1, m)
+        x = X[np.argmax(np.einsum("ij,ij->i", X, X))]
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, tf, f0, direction, rtol, atol):
-    """The first step size (Hairer et al., II.4), for error order 7."""
+def _error_norm(err5, err3, h, m):
+    """scipy's DOP853 error norm per member of m entries: the largest
+    member's, computed as scipy computes one solve's."""
+    if m < err5.size:  # rank the members by e5 / sqrt(e5 + 0.01 e3)
+        E5, E3 = err5.reshape(-1, m), err3.reshape(-1, m)
+        s5 = np.einsum("ij,ij->i", E5, E5)
+        s3 = np.einsum("ij,ij->i", E3, E3)
+        rank = np.divide(s5, np.sqrt(s5 + 0.01 * s3), out=np.zeros_like(s5),
+                         where=s5 != 0)
+        worst = np.argmax(rank)
+        err5, err3 = E5[worst], E3[worst]
+    # np.linalg.norm(err)**2, as scipy squares it
+    e5, e3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
+    if e5 == 0 and e3 == 0:
+        return 0.0
+    return abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * m)
+
+
+def _initial_step(fun, t0, y0, tf, f0, direction, rtol, atol, m):
+    """The first step size (Hairer et al., II.4), for error order 7, with
+    the RMS norm per member of m entries."""
     span = abs(tf - t0)
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    d0, d1 = _rms(y0 / scale, m), _rms(f0 / scale, m)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1 - f0) / scale, m) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -569,22 +606,31 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None,
     is one terminal event function or None; its root is found by
     `_brentq`, scipy's `brentq` at xtol = rtol = 4 EPS, on the step's dense
     output.
+
+    A start y0 of shape (k, d) is k members, flattened to k*d entries for
+    `fun` and the output: the first step and every step acceptance take,
+    in place of scipy's norm over all entries, the largest of the members'
+    norms, each computed as scipy's for a lone member.  A 1-D start is
+    one member: scipy's arithmetic, bit for bit.
     """
     t0, tf = map(float, t_span)
     y = np.asarray(y0, dtype=float)
     n = y.size
+    m = y.shape[-1] if y.ndim == 2 else n  # the entries of one member
+    y = y.reshape(n)
     K = np.empty((_dop.N_STAGES_EXTENDED, n))
     K[_N] = fun(t0, y)  # K[_N] holds the derivative at the step's end
     if tf == t0:  # no step: the solution is its start
         t_out = np.array([t0, t0] if t_eval is None else t_eval, dtype=float)
+        no_root = (None, None) if events is None else (
+            [np.empty(0)], [np.empty((0, n))])
         return IvpResult(t_out, np.repeat(y[:, None], t_out.size, axis=1),
-                         None, None if events is None else [np.empty(0)], 0,
-                         _MESSAGES[0], 1)
+                         None, *no_root, 0, _MESSAGES[0], 1)
     direction = 1.0 if tf > t0 else -1.0
     stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
     extra = [(s, K[:s].T, a, c) for s, a, c in _EXTRA]
     KB, KE = K[:_N].T, K[:_N + 1].T
-    h_abs = _initial_step(fun, t0, y, tf, K[_N], direction, rtol, atol)
+    h_abs = _initial_step(fun, t0, y, tf, K[_N], direction, rtol, atol, m)
     nfev = 2
 
     def dense(t_old, y_old, y_new, h):
@@ -632,14 +678,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None,
             K[_N] = fun(t + h, y_new)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = KE.dot(_dop.E5) / scale
-            err3 = KE.dot(_dop.E3) / scale
-            # np.linalg.norm(err)**2, as scipy squares it
-            e5, e3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
-            if e5 == 0 and e3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            error_norm = _error_norm(KE.dot(_dop.E5) / scale,
+                                     KE.dot(_dop.E3) / scale, h, m)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(
                     10, 0.9 * error_norm ** (-1 / 8))
@@ -664,8 +704,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None,
 
                 root = _brentq(lambda s: events(s, at(s)), t_old, t,
                                4 * _EPS, 4 * _EPS)
-                roots.append(root)
                 status, t, y = 1, root, at(root)
+                roots.append((root, y))
             g = g_new
         if t_eval is None:
             if dense_output and len(ts) > 1 and ts[-1] == t:
@@ -694,10 +734,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None,
         t_out, y_out = np.hstack(ts), np.hstack(ys)
     else:
         t_out, y_out = np.empty(0), np.empty((n, 0))
+    t_ev = y_ev = None
+    if events is not None:
+        t_ev = [np.array([r for r, _ in roots])]
+        y_ev = [np.array([s for _, s in roots]).reshape(-1, n)]
     return IvpResult(t_out, y_out,
                      DenseSolution(seg_ts, steps) if steps else None,
-                     None if events is None else [np.array(roots)], status,
-                     _MESSAGES[status], nfev)
+                     t_ev, y_ev, status, _MESSAGES[status], nfev)
 
 
 def _solve(rhs, y0, t, tol, what, event, t_eval=None, dense=False):
@@ -859,12 +902,16 @@ class DenseOrbit:
 
 
 def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
-    """Integrate a stack of initial states over the same time span.
+    """Integrate a stack of initial states (k, d) over the same time span.
 
-    Every accepted step and every returned frame (the final states, or
-    each frame at `t_eval`) is range-checked against the domain padded by
-    `_BATCH_SLACK`; a member that leaves it raises EscapeError, with the
-    exit time when a step end found it.
+    One kernel solve with the k states as its members: a step is accepted
+    only if every member's own error norm passes, so each orbit is held to
+    `tol` as if solved alone, and a stack of one is bitwise `flow_points`
+    at the same frames.  Every accepted step and every returned frame (the
+    final states, or each frame at `t_eval`) is range-checked against the
+    domain padded by `_BATCH_SLACK`; a member that leaves it raises
+    EscapeError with its row in the stack, and with the exit time when a
+    step end found it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k, d = points.shape
@@ -880,14 +927,20 @@ def flow_states_batch(field, points, t, tol=1e-9, t_eval=None):
 
     tev = None if t_eval is None else np.asarray(t_eval, dtype=float)
     what = "batched orbit integration"
-    sol, exit_time = _solve(rhs, points.ravel(), float(t), tol, what,
+    sol, exit_time = _solve(rhs, points, float(t), tol, what,
                             _batch_domain_event(field), t_eval=tev)
-    _check_exit(what, exit_time)
+    if exit_time is not None:  # the member nearest the padded faces left
+        exit_states = sol.y_events[0][0].reshape(k, d)
+        row = np.argmin(_batch_margins(field, exit_states))
+        raise EscapeError(f"orbit left the domain during {what}",
+                          exit_time=exit_time, row=int(row))
     states = sol.y.T.reshape(-1, k, d)
     if t_eval is None:
         states = states[-1]
     if not field.domain.contains(states, slack=_BATCH_SLACK):
-        raise EscapeError("a batched orbit left the domain")
+        outside = ~(_batch_margins(field, states) >= 0).reshape(-1, k)
+        row = np.flatnonzero(outside.any(axis=0))[0]
+        raise EscapeError("a batched orbit left the domain", row=int(row))
     return states
 
 

@@ -6,7 +6,7 @@ into the phase space by flowing the normal translate x+v for time t, with
 the uniform relative radius r0 = 1/(10 L).  On Euclidean charts the map is
 an embedding with |D F - id| <= 1/2, mininorm >= 1/2 and norm <= 2, and its
 image contains no singularities; `verify_box_bounds` measures all of this
-with finite differences.
+with finite differences, for all the charts of a run at once.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoxBoundsError, DomainError, NotInBoxError,
-                     SingularityError)
+from .errors import (BoxBoundsError, DomainError, EscapeError,
+                     NotInBoxError, SingularityError)
 from .fields import (effective_lipschitz, flow, flow_states_batch, speed,
                      speeds)
 from .util import orthonormal_complement, unit
@@ -162,9 +162,11 @@ def _time_frames(field, pts, ts, ht, tol):
     """States of the point stack at t - ht, t and t + ht for every t node,
     as (n_t, 3, n_pts, d).
 
-    One `flow_states_batch` solve per time sign, whose `t_eval` holds every
-    time of that sign ordered by |t| (the grid has nodes of both signs);
-    time 0 is the stack itself.
+    One `flow_states_batch` solve per time sign over the whole stack (the
+    points of every chart of a check), whose `t_eval` holds every time of
+    that sign ordered by |t| (the grid has nodes of both signs); time 0 is
+    the stack itself.  Each point is a member of the solve, held to `tol`
+    on its own.
     """
     times = ts[:, None] + np.array([-ht, 0.0, ht])
     frames = np.empty(times.shape + pts.shape)
@@ -178,38 +180,68 @@ def _time_frames(field, pts, ts, ht, tol):
     return frames
 
 
-def verify_box_bounds(chart: FlowboxChart, grid: int,
-                      tol=1e-9) -> BoxBoundsReport:
-    """Finite-difference check of the chart derivative bounds on a grid.
+def _grid_points(chart, vs):
+    """For every v node the center point plus the 2(d-1) normal-step
+    points, (n_v * (2d - 1), d)."""
+    hv = 1e-5 * chart.v_radius
+    pts = []
+    for v in vs:
+        p0 = chart.base + chart.frame @ v
+        pts.append(p0)
+        for k in range(chart.field.dimension - 1):
+            step = hv * chart.frame[:, k]
+            pts.append(p0 + step)
+            pts.append(p0 - step)
+    return np.asarray(pts)
+
+
+def verify_box_bounds(charts, grid: int, tol=1e-9) -> list:
+    """Finite-difference check of the chart derivative bounds on a grid,
+    one BoxBoundsReport per chart, in order.
 
     Central differences with steps 1e-5 * r0 * |X(x)| (normal directions) and
     1e-5 * r0 (time direction); each bound is met within FD_SLACK.
     Violations are reported with their witness node, never raised.
 
-    The per-chart point stack is flowed with one solve per time sign to the
-    frames at t - ht, t and t + ht of every t node, and all derivatives of
-    all nodes are measured in one stacked pass: one norm, one SVD and one
-    image-speed evaluation over the (n_t, n_v) node grid.
+    Charts that share their field and r0 (all the charts of one run) share
+    the t nodes of their grids, so they form one stack: the points of all
+    its charts are flowed in one solve per time sign to the frames at
+    t - ht, t and t + ht of every t node, each point under its own error
+    control.  Each chart's derivatives at all its nodes are then measured
+    in one stacked pass: one norm, one SVD and one image-speed evaluation
+    over its (n_t, n_v) node grid.  If a point leaves the domain,
+    EscapeError names its chart by the index in `charts` (`row`), and no
+    chart is reported.
     """
     if grid < 2:
         raise DomainError("grid must be >= 2")
+    stacks = {}
+    for i, chart in enumerate(charts):
+        stacks.setdefault((id(chart.field), chart.r0), []).append(i)
+    reports = [None] * len(charts)
+    for rows in stacks.values():
+        stack = [charts[i] for i in rows]
+        field, r0 = stack[0].field, stack[0].r0
+        grids = [_ball_grid(chart, grid) for chart in stack]
+        ts, ht = grids[0][1], 1e-5 * r0
+        pts = [_grid_points(chart, vs) for chart, (vs, _) in zip(stack, grids)]
+        try:
+            frames = _time_frames(field, np.concatenate(pts), ts, ht, tol)
+        except EscapeError as exc:
+            raise EscapeError(str(exc), exc.exit_time,
+                              row=rows[exc.row // len(pts[0])]) from None
+        frames = frames.reshape(ts.size, 3, len(stack), -1, field.dimension)
+        for c, (i, (vs, _)) in enumerate(zip(rows, grids)):
+            reports[i] = _measure(charts[i], vs, ts, ht, frames[:, :, c])
+    return reports
+
+
+def _measure(chart, vs, ts, ht, frames):
+    """The report of one chart from its frames (n_t, 3, n_v * (2d - 1), d)."""
     field = chart.field
     d = field.dimension
-    vs, ts = _ball_grid(chart, grid)
     hv = 1e-5 * chart.v_radius
-    ht = 1e-5 * chart.r0
     Q = np.column_stack([chart.frame, chart.flow_dir])
-
-    # for every v node the center point plus the 2(d-1) normal-step points
-    pts = []
-    for v in vs:
-        p0 = chart.base + chart.frame @ v
-        pts.append(p0)
-        for k in range(d - 1):
-            step = hv * chart.frame[:, k]
-            pts.append(p0 + step)
-            pts.append(p0 - step)
-    frames = _time_frames(field, np.asarray(pts), ts, ht, tol)
     frames = frames.reshape(ts.size, 3, len(vs), 2 * (d - 1) + 1, d)
     M = np.empty((ts.size, len(vs), d, d))
     M[..., :d - 1] = ((frames[:, 1, :, 1::2] - frames[:, 1, :, 2::2])

@@ -15,7 +15,7 @@ from flowlab.fields import (Box, DenseOrbit, _augmented_rhs, _brentq,
                             _domain_event, _fd_jacobian, custom_field,
                             estimate_lipschitz, evaluate, flow, flow_points,
                             flow_states_batch, ivp_options, make_field,
-                            orbit_states, sample_orbit, solve_ivp)
+                            orbit_states, sample_orbit, solve_ivp, speeds)
 from oracles import (estimate_lipschitz_loop, orbit_to_csv,
                      validate_orbit_segment)
 
@@ -355,6 +355,43 @@ def test_flow_states_batch_escape_slack():
         else:
             out = flow_states_batch(field, pts, t, tol=1e-12)
             assert out[1, 0] == pytest.approx(1.0 + overshoot, abs=1e-11)
+
+
+def test_stack_members_keep_their_own_error(lorenz, lorenz_attractor_point):
+    # the fastest point of an attractor orbit stacked with 63 copies of its
+    # slowest: an RMS norm over the whole stack would let the fast member's
+    # error grow with the slow ones' weight; per-member norms hold it to
+    # what it gets solved alone
+    orbit = flow_points(lorenz, lorenz_attractor_point,
+                        np.linspace(0.0, 10.0, 2001)[1:], 1e-10)
+    v = speeds(lorenz, orbit)
+    fast, slow = orbit[np.argmax(v)], orbit[np.argmin(v)]
+    assert v.max() > 250.0 and v.min() < 40.0
+    T, tol = 1.0, 1e-6
+    ref = flow_points(lorenz, fast, [T], 1e-13)[0]
+    solo = np.linalg.norm(flow_points(lorenz, fast, [T], tol)[0] - ref)
+    stack = np.vstack([fast, np.repeat(slow[None], 63, axis=0)])
+    got = np.linalg.norm(flow_states_batch(lorenz, stack, T, tol)[0] - ref)
+    assert got <= 2.0 * solo
+    # a stack of one is the lone solve, bit for bit
+    frames = [0.25, 0.5, T]
+    one = flow_states_batch(lorenz, [fast], T, tol, t_eval=frames)
+    assert one[:, 0].tobytes() == flow_points(lorenz, fast, frames,
+                                              tol).tobytes()
+
+
+def test_flow_states_batch_names_the_row_that_left(rotation):
+    # the member started at (9.9, 9.9) leaves between steps (the terminal
+    # event) or is outside at the start (the final range check)
+    inside = [[1.0, 0.5], [0.2, -0.3]]
+    with pytest.raises(EscapeError) as exc:
+        flow_states_batch(rotation, [inside[0], [9.9, 9.9], inside[1]],
+                          np.pi / 2)
+    assert exc.value.row == 1 and exc.value.exit_time is not None
+    with pytest.raises(EscapeError) as exc:
+        flow_states_batch(rotation, [*inside, [10.5, 0.0]], 0.1,
+                          t_eval=[0.05, 0.1])
+    assert exc.value.row == 2 and exc.value.exit_time is None
 
 
 # ------------------------------------------------- the kernel against scipy

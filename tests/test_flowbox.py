@@ -96,7 +96,7 @@ def test_round_trip_property(saddle2d):
 
 
 def test_bounds_saddle_grid5(saddle_chart):
-    rep = verify_box_bounds(saddle_chart, 5, tol=1e-10)
+    rep = verify_box_bounds([saddle_chart], 5, tol=1e-10)[0]
     assert rep.no_singularity
     assert rep.bounds_ok
     assert rep.max_dev_from_id <= 0.5
@@ -106,13 +106,13 @@ def test_bounds_saddle_grid5(saddle_chart):
 
 def test_bounds_rotation_grid5(rotation):
     chart = make_chart(rotation, [1.0, 0.0], 1.05)
-    rep = verify_box_bounds(chart, 5, tol=1e-10)
+    rep = verify_box_bounds([chart], 5, tol=1e-10)[0]
     assert rep.bounds_ok and not rep.witnesses
 
 
 def test_bounds_grid2_matches_closed_form(saddle2d):
     chart = make_chart(saddle2d, [1.0, 0.0], 1.05)
-    rep = verify_box_bounds(chart, 2, tol=1e-11)
+    rep = verify_box_bounds([chart], 2, tol=1e-11)[0]
     # closed form: F(v, t) = e^{tA}(x + v); columns in box coordinates
     A = np.diag([1.0, -1.0])
     Q = np.column_stack([chart.frame, chart.flow_dir[:, None]])
@@ -139,7 +139,7 @@ def test_bounds_grid2_matches_closed_form(saddle2d):
 def test_bounds_array_form_is_bitwise_the_loop(request, name, base, L, grids):
     chart = make_chart(request.getfixturevalue(name), base, L)
     for grid in grids:
-        got = verify_box_bounds(chart, grid, tol=1e-9).to_json_dict()
+        got = verify_box_bounds([chart], grid, tol=1e-9)[0].to_json_dict()
         want = verify_box_bounds_loop(chart, grid, tol=1e-9).to_json_dict()
         assert repr(got) == repr(want)
         if L == 0.3:
@@ -176,7 +176,7 @@ def _closed_form_bounds(chart, A, grid):
 def test_bounds_match_closed_form_on_grid(request, name, A, base, L):
     chart = make_chart(request.getfixturevalue(name), base, L)
     for grid in (5, 12):
-        rep = verify_box_bounds(chart, grid, tol=1e-10)
+        rep = verify_box_bounds([chart], grid, tol=1e-10)[0]
         want = _closed_form_bounds(chart, A, grid)
         got = (rep.max_dev_from_id, rep.min_mininorm, rep.max_norm)
         assert got == pytest.approx(want, rel=0, abs=1e-9), grid
@@ -187,12 +187,58 @@ def test_bounds_array_form_escapes_like_the_loop(saddle_susp):
     with pytest.raises(EscapeError) as want:
         verify_box_bounds_loop(chart, 3)
     with pytest.raises(EscapeError) as got:
-        verify_box_bounds(chart, 3)
+        verify_box_bounds([chart], 3)
     assert str(got.value) == str(want.value)
 
 
+#: the charts of `test_bounds_array_form_is_bitwise_the_loop`
+LOOP_CHARTS = [("rotation", [0.3, -0.7], 1.05), ("saddle2d", [0.5, 0.4], 1.05),
+               ("lorenz", [-5.0, -6.0, 20.0], 30.0),
+               ("saddle_susp", [0.5, -0.3, 1.0], 1.05),
+               ("rotation", [1.0, 0.0], 0.3)]
+
+
+def _assert_same_report(got, want):
+    """The stacked report of a chart against its single-chart one: the
+    same verdict and witness nodes, the bounds within 1e-9."""
+    assert got.bounds_ok == want.bounds_ok
+    assert ([(w["v"], w["t"]) for w in got.witnesses]
+            == [(w["v"], w["t"]) for w in want.witnesses])
+    for key in ("max_dev_from_id", "min_mininorm", "max_norm"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                  rel=0, abs=1e-9), key
+
+
+def test_stacked_charts_match_single_charts(request):
+    # each chart shares its stack with a second base of its field and r0,
+    # and the charts of other fields or radii make stacks of their own
+    charts = []
+    for name, base, L in LOOP_CHARTS:
+        field = request.getfixturevalue(name)
+        charts += [make_chart(field, base, L),
+                   make_chart(field, 1.1 * np.asarray(base), L)]
+    reports = verify_box_bounds(charts, 6, tol=1e-9)
+    for chart, got in zip(charts, reports):
+        _assert_same_report(got, verify_box_bounds([chart], 6, tol=1e-9)[0])
+    assert not reports[-2].bounds_ok and reports[-2].witnesses
+
+
+def test_escape_inside_a_stack_skips_that_chart(saddle_susp):
+    from flowlab.cli import _verified_charts
+    inside = make_chart(saddle_susp, [0.5, -0.3, 1.0], 1.05)
+    charts = [make_chart(saddle_susp, [0.5, -0.3, 1.0], 0.05),  # r0 = 2
+              inside,
+              make_chart(saddle_susp, [9.5, 0.0, 0.0], 1.05)]   # inside's r0
+    with pytest.raises(EscapeError) as exc:
+        verify_box_bounds(charts, 3)
+    assert exc.value.row in (0, 2)
+    verified = _verified_charts(charts, 3, 1e-9)
+    assert list(verified) == [1]
+    _assert_same_report(verified[1], verify_box_bounds([inside], 3)[0])
+
+
 def test_report_json_shape(saddle_chart):
-    rep = verify_box_bounds(saddle_chart, 3, tol=1e-9)
+    rep = verify_box_bounds([saddle_chart], 3, tol=1e-9)[0]
     d = rep.to_json_dict()
     for key in ("base", "r0", "max_dev", "min_mininorm", "max_norm",
                 "witnesses"):
@@ -229,5 +275,5 @@ def test_field_increment_lipschitz(saddle2d):
 
 def test_no_singularity_in_image(rotation):
     chart = make_chart(rotation, [0.5, 0.0], 1.05)
-    rep = verify_box_bounds(chart, 4, tol=1e-9)
+    rep = verify_box_bounds([chart], 4, tol=1e-9)[0]
     assert rep.no_singularity

@@ -5,7 +5,9 @@ import pytest
 
 from flowlab import fields
 from flowlab.cli import _HANDLERS, main, run_scenario
-from flowlab.errors import ScenarioError
+from flowlab.errors import EscapeError, ScenarioError
+from flowlab.fields import estimate_lipschitz, sample_regular_points
+from flowlab.flowbox import make_chart, verify_box_bounds
 from flowlab.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
@@ -241,6 +243,35 @@ def test_flowbox_skips_a_base_whose_chart_leaves_the_domain(tmp_path,
     assert rep["reports"][0]["bounds_ok"]
     out = capsys.readouterr().out
     assert out.count(" PASS") == 1 and out.count(" SKIP") == 1
+
+
+def test_flowbox_skips_the_bases_that_leave_one_at_a_time(tmp_path, capsys):
+    # bases near the x = 10 face: the charts that leave the domain in the
+    # stacked check are the ones that leave it checked one by one
+    p = tmp_path / "s.scn"
+    p.write_text("field saddle_suspension\n  domain -10 10 -10 10 -10 10\n\n"
+                 "command flowbox\n  bases 6\n  grid 3\n"
+                 "  sample-box 8 9.9 -1 1 -1 1\n\nseed 4\n")
+    assert run_scenario(str(p), out=str(tmp_path / "out")) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    sc = load_scenario(p)
+    field = sc.build_field()
+    box = fields.Box([8.0, -1.0, -1.0], [9.9, 1.0, 1.0])
+    L = estimate_lipschitz(field, box, 256, seed=sc.seed)
+    singles = []
+    for x in sample_regular_points(field, box, 6, seed=sc.seed, tol=sc.tol):
+        try:
+            singles.append(verify_box_bounds([make_chart(field, x, L)], 3,
+                                             tol=sc.tol)[0].to_json_dict())
+        except EscapeError:
+            pass
+    assert 0 < rep["skipped_bases"] == 6 - len(singles) < 6
+    assert [r["base"] for r in rep["reports"]] == [r["base"] for r in singles]
+    for got, want in zip(rep["reports"], singles):
+        assert got["bounds_ok"] == want["bounds_ok"]
+        for key in ("max_dev", "min_mininorm", "max_norm"):
+            assert got[key] == pytest.approx(want[key], rel=0, abs=1e-9)
+    assert capsys.readouterr().out.count(" SKIP") == rep["skipped_bases"]
 
 
 def test_flowbox_without_a_verified_base_exits_2(tmp_path, capsys):
